@@ -78,6 +78,22 @@ double steal_pct(const CpuTimes& before, const CpuTimes& after) {
          static_cast<double>(after.total - before.total);
 }
 
+std::vector<std::size_t> quiet_windows(const std::vector<double>& steal_pct, double share,
+                                       std::size_t min_windows) {
+  const std::size_t n = steal_pct.size();
+  if (n == 0) return {};
+  const auto want = static_cast<std::size_t>(std::ceil(share * static_cast<double>(n)));
+  const std::size_t keep = std::min(n, std::max({want, min_windows, std::size_t{1}}));
+  std::vector<double> sorted = steal_pct;
+  std::nth_element(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                   sorted.end());
+  std::vector<std::size_t> quiet;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (steal_pct[k] <= sorted[keep - 1]) quiet.push_back(k);
+  }
+  return quiet;
+}
+
 HostSample host_now() {
   HostSample s;
   std::ifstream stat("/proc/stat");

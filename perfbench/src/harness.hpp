@@ -90,6 +90,22 @@ struct CpuTimes {
 /// Steal share of all CPU time between two readings, in percent.
 [[nodiscard]] double steal_pct(const CpuTimes& before, const CpuTimes& after);
 
+/// Share of a run's windows that its timings are taken from: the ones in
+/// which the hypervisor stole the least CPU time. Steal comes in episodes
+/// of seconds to minutes that slow every layer at once (serve p90 grows
+/// fivefold at 15% steal), so a timing over all windows measures the
+/// host; over the quietest it measures the program.
+inline constexpr double kQuietShare = 0.1;
+/// A timing is never taken over fewer windows than this (or all of them).
+inline constexpr std::size_t kMinQuietWindows = 3;
+
+/// Indices, in window order, of every window whose steal is at most that
+/// of the k-th quietest, k = max(ceil(share * n), min_windows) capped at n.
+/// Ties are all kept, so a run without steal keeps every window.
+[[nodiscard]] std::vector<std::size_t> quiet_windows(const std::vector<double>& steal_pct,
+                                                     double share,
+                                                     std::size_t min_windows = kMinQuietWindows);
+
 /// Snapshot of the host-noise counters at one instant.
 struct HostSample {
   CpuTimes cpu;

@@ -50,12 +50,11 @@ constexpr int kSizes[] = {10000, 13000, 15500, 18500, 22000, 26000,  30000, 3500
 constexpr const char* kMachines[] = {"torus-8x8", "mesh3d-4x4x4", "hypercube-6",
                                      "torus-16x16"};
 constexpr int kRefineThreads = 2;
-/// Passes over all instances per second of --seconds. Latency percentiles
-/// are taken per window of kWindowPasses passes (105 samples, so p90 has
-/// at least 10 beyond it) and reported as the median over windows; the
-/// pass count is rounded up to whole windows.
+/// Passes over all instances per second of --seconds, and at least
+/// kMinPasses, so a run holds 105 latency samples and its p90 has at least
+/// 10 beyond it. Each pass is one window.
 constexpr double kPassesPerSecond = 1.0;
-constexpr int kWindowPasses = 7;
+constexpr int kMinPasses = 7;
 /// Set-up repetitions per run (median reported), back to back before the
 /// timed phase: each takes seconds, so each already integrates over the
 /// host's bursts, and rebuilding engines between passes would hand cold
@@ -209,9 +208,8 @@ WorkloadResult run_large_map(const RunConfig& config, SpanLog& spans) {
     r.setup_s.push_back(ms_between(t0, Clock::now()) / 1e3);
   }
 
-  const int windows = std::max(
-      1, static_cast<int>(std::ceil(config.seconds * kPassesPerSecond / kWindowPasses)));
-  const int passes = windows * kWindowPasses;
+  const int passes =
+      std::max(kMinPasses, static_cast<int>(std::lround(config.seconds * kPassesPerSecond)));
   std::vector<Outcome> outcomes;
   const std::uint64_t chunks0 = counter("mimdmap_pool_chunks_total");
   const std::uint64_t seq0 = counter("mimdmap_pool_chunks_sequential_total");
@@ -220,17 +218,22 @@ WorkloadResult run_large_map(const RunConfig& config, SpanLog& spans) {
   for (int pass = 0; pass < passes; ++pass) {
     const std::int64_t ok_before = r.ok;
     double pass_s = 0.0;
+    CpuTimes pass_cpu;  // host CPU time over the pass's timed intervals
+    r.window_latency_ms.emplace_back();
     for (std::size_t i = 0; i < loaded.size(); ++i) {
       const EvalEngine& engine = *loaded[i].engine;
       const MappingInstance& instance = *loaded[i].instance;
       const MapperOptions opts = options_for(config.seed, pass, i);
+      const CpuTimes c0 = host_now().cpu;
       const auto t0 = Clock::now();
       const MappingReport report = map_instance(engine, opts);
       const double ms = ms_between(t0, Clock::now());
+      const CpuTimes c1 = host_now().cpu;
+      pass_cpu.total += c1.total - c0.total;
+      pass_cpu.steal += c1.steal - c0.steal;
       r.timed_wall_s += ms / 1e3;
       pass_s += ms / 1e3;
       r.latency_ms.push_back(ms);
-      if (pass % kWindowPasses == 0 && i == 0) r.window_latency_ms.emplace_back();
       r.window_latency_ms.back().push_back(ms);
       ++r.attempted;
       outcomes.push_back({report.total_time(), report.refinement_trials,
@@ -267,6 +270,8 @@ WorkloadResult run_large_map(const RunConfig& config, SpanLog& spans) {
       ++r.quality_n;
     }
     r.window_rates.push_back(static_cast<double>(r.ok - ok_before) / pass_s);
+    r.rate_steal_pct.push_back(steal_pct({}, pass_cpu));
+    r.latency_steal_pct.push_back(r.rate_steal_pct.back());
   }
   r.timed_end = host_now();
   const std::uint64_t chunks = counter("mimdmap_pool_chunks_total") - chunks0;

@@ -9,6 +9,7 @@
 // per-layer set (the traced run also writes DIR/trace-<workload>.json).
 // Exit code 0 when every correctness gate passed, 1 when one failed,
 // 2 on bad arguments or a run that could not complete.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -53,6 +55,15 @@ struct Printer {
   }
 };
 
+/// Median of per-window values, over the quiet windows or over all.
+double window_median(const std::vector<double>& values, const std::vector<double>& steal,
+                     bool quiet_only) {
+  if (!quiet_only) return median(values);
+  std::vector<double> kept;
+  for (const std::size_t k : quiet_windows(steal, kQuietShare)) kept.push_back(values[k]);
+  return median(kept);
+}
+
 int run(const RunConfig& config) {
   SpanLog spans(config.trace);
   WorkloadResult r;
@@ -71,18 +82,32 @@ int run(const RunConfig& config) {
             << " seconds=" << config.seconds << " trace=" << (config.trace ? 1 : 0) << "\n";
   for (const std::string& note : r.notes) std::cout << note << "\n";
 
-  // A tail percentile is only reported when at least ten samples lie
-  // beyond it; a run too small for its p90 is a broken run, not a result.
-  if (r.latency_ms.empty() || samples_beyond(r.latency_ms.size(), 90.0) < kMinTailSamples) {
-    r.fail("only " + std::to_string(r.latency_ms.size()) +
-           " latency samples: p90 needs at least 10 beyond it");
+  if (r.latency_steal_pct.size() != r.window_latency_ms.size() ||
+      r.rate_steal_pct.size() != r.window_rates.size()) {
+    throw std::logic_error("every window needs its steal");
   }
+  // Latency percentiles pool the samples of the quiet windows, taking
+  // enough windows that p90 would have ten samples beyond it even if each
+  // held no more than the smallest. A tail percentile is only reported
+  // when at least ten samples lie beyond it; a run too small for its p90
+  // is a broken run, not a result.
+  std::size_t smallest = r.window_latency_ms.empty() ? 0 : r.window_latency_ms[0].size();
   for (const std::vector<double>& window : r.window_latency_ms) {
-    if (samples_beyond(window.size(), 90.0) < kMinTailSamples) {
-      r.fail("a latency window holds " + std::to_string(window.size()) +
-             " samples: p90 needs at least 10 beyond it");
-      break;
-    }
+    smallest = std::min(smallest, window.size());
+  }
+  const std::size_t tail_pool = 10 * kMinTailSamples;  // p90 leaves a tenth beyond it
+  const std::vector<std::size_t> quiet_latency_windows = quiet_windows(
+      r.latency_steal_pct, kQuietShare,
+      smallest == 0 ? r.window_latency_ms.size()
+                    : std::max(kMinQuietWindows, (tail_pool + smallest - 1) / smallest));
+  std::vector<double> quiet_latency;
+  for (const std::size_t k : quiet_latency_windows) {
+    quiet_latency.insert(quiet_latency.end(), r.window_latency_ms[k].begin(),
+                         r.window_latency_ms[k].end());
+  }
+  if (samples_beyond(quiet_latency.size(), 90.0) < kMinTailSamples) {
+    r.fail("only " + std::to_string(quiet_latency.size()) +
+           " latency samples in the quiet windows: p90 needs at least 10 beyond it");
   }
   if (r.attempted <= 0 || r.timed_wall_s <= 0.0 || r.setup_s.empty()) {
     r.fail("workload attempted no timed work");
@@ -115,25 +140,40 @@ int run(const RunConfig& config) {
             << ")\n";
   for (const std::string& why : r.gate_failures) std::cout << "GATE FAILED: " << why << "\n";
 
-  const bool sized = !r.latency_ms.empty() && !r.setup_s.empty() && r.attempted > 0;
-  const auto latency_pct = [&r](double p) {
-    if (r.window_latency_ms.empty()) return percentile(r.latency_ms, p);
-    std::vector<double> per_window;
-    for (const std::vector<double>& window : r.window_latency_ms) {
-      if (!window.empty()) per_window.push_back(percentile(window, p));
-    }
-    return median(per_window);
+  const bool sized = !quiet_latency.empty() && !r.setup_s.empty() && r.attempted > 0;
+  // Timings are taken over the quiet windows; the same timings over every
+  // window are printed beside them, so the host's share stays visible.
+  const auto latency_pct = [&](double p, bool quiet) {
+    return percentile(quiet ? quiet_latency : r.latency_ms, p);
   };
+  const auto throughput = [&r](bool quiet) {
+    return r.window_rates.empty() ? static_cast<double>(r.ok) / r.timed_wall_s
+                                  : window_median(r.window_rates, r.rate_steal_pct, quiet);
+  };
+  if (sized) {
+    const auto kept = [](const std::vector<double>& steal, const std::vector<std::size_t>& quiet) {
+      double cutoff = 0.0;
+      for (const std::size_t k : quiet) cutoff = std::max(cutoff, steal[k]);
+      return std::to_string(quiet.size()) + " of " + std::to_string(steal.size()) +
+             " (steal <= " + fmt(cutoff) + "%)";
+    };
+    std::cout << "windows: latency over " << kept(r.latency_steal_pct, quiet_latency_windows)
+              << " with " << quiet_latency.size() << " samples";
+    if (!r.window_rates.empty()) {
+      std::cout << ", rate over "
+                << kept(r.rate_steal_pct, quiet_windows(r.rate_steal_pct, kQuietShare));
+    }
+    std::cout << "; over every window: throughput " << fmt(throughput(false)) << " jobs/s, p50 "
+              << fmt(latency_pct(50.0, false)) << " ms, p90 " << fmt(latency_pct(90.0, false))
+              << " ms\n";
+  }
   Printer out;
   if (!config.trace && sized) {
     std::cout << "end-to-end:\n";
     out.add("setup_s", median(r.setup_s), "s");
-    out.add("throughput_jobs_s",
-            r.window_rates.empty() ? static_cast<double>(r.ok) / r.timed_wall_s
-                                   : median(r.window_rates),
-            "jobs/s");
-    out.add("latency_p50_ms", latency_pct(50.0), "ms");
-    out.add("latency_p90_ms", latency_pct(90.0), "ms");
+    out.add("throughput_jobs_s", throughput(true), "jobs/s");
+    out.add("latency_p50_ms", latency_pct(50.0, true), "ms");
+    out.add("latency_p90_ms", latency_pct(90.0, true), "ms");
     out.add("quality_pct", r.quality_n > 0 ? r.quality_sum_pct / static_cast<double>(r.quality_n)
                                            : 0.0,
             "%");

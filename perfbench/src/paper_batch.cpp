@@ -268,9 +268,13 @@ WorkloadResult run_paper_batch(const RunConfig& config, SpanLog& spans) {
     for (std::size_t i = 0; i < n; ++i) {
       jobs.push_back(make_job(setup->instances[i], config.seed, pass, i));
     }
+    const CpuTimes c0 = host_now().cpu;
     const auto t0 = Clock::now();
     const std::vector<MapJobResult> results = service.map_batch(std::move(jobs));
     pass_ms.push_back(ms_between(t0, Clock::now()));
+    const double pass_steal = steal_pct(c0, host_now().cpu);
+    r.rate_steal_pct.push_back(pass_steal);
+    r.latency_steal_pct.push_back(pass_steal);
     r.timed_wall_s += pass_ms.back() / 1e3;
     const std::int64_t ok_before = r.ok;
     std::vector<double>& window = r.window_latency_ms.emplace_back();

@@ -105,6 +105,28 @@ void steal_parsing() {
   expect(near(steal_pct(b, b), 0.0), "an empty interval has no steal");
 }
 
+void quiet_window_selection() {
+  const std::vector<double> steal = {9.0, 0.5, 3.0, 0.5, 12.0, 1.0, 0.0, 7.0};
+  expect(quiet_windows(steal, 0.25) == std::vector<std::size_t>{1, 3, 6},
+         "a quarter of 8 windows is 2, raised to the minimum of 3");
+  expect(quiet_windows(steal, 0.5) == std::vector<std::size_t>{1, 3, 5, 6},
+         "the quietest half, in window order");
+  expect(quiet_windows({2.0, 0.0, 0.0, 0.0, 0.0, 5.0}, 0.25) ==
+             std::vector<std::size_t>{1, 2, 3, 4},
+         "windows tied with the cutoff are all kept");
+  expect(quiet_windows(std::vector<double>(40, 0.0), 0.25).size() == 40,
+         "a run without steal keeps every window");
+  expect(quiet_windows({5.0, 1.0}, 0.25) == std::vector<std::size_t>{0, 1},
+         "fewer windows than the minimum keeps them all");
+  std::vector<double> ramp(100);
+  for (std::size_t k = 0; k < ramp.size(); ++k) ramp[k] = static_cast<double>(ramp.size() - k);
+  const std::vector<std::size_t> tenth = quiet_windows(ramp, kQuietShare);
+  expect(tenth.size() == 10 && tenth.front() == 90,
+         "timings use the quietest tenth of 100 distinct windows");
+  expect(quiet_windows(ramp, kQuietShare, 30).size() == 30,
+         "a minimum above the share widens the selection");
+}
+
 }  // namespace
 
 int run_selftests() {
@@ -113,6 +135,7 @@ int run_selftests() {
   open_loop_latency();
   trace_fold();
   steal_parsing();
+  quiet_window_selection();
   return failures;
 }
 

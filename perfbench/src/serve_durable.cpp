@@ -11,13 +11,18 @@
 //    layered, diamond and fork-join requests of one size class (100-600
 //    tasks, ns 8-16); about a quarter are exact repeats of earlier
 //    requests from either session. Latency runs from each request's due
-//    time to its terminal frame.
+//    time to its terminal frame, in quarter-second windows of the
+//    schedule, each with its own host steal.
+//
+// One client thread sends and reads for both connections, so the load
+// generator adds a single runnable thread to the daemon's.
 //
 // Why: wire parsing, admission and queueing, per-request server overhead,
 // journal appends with batched fsync, and result-cache reads beside
 // writes — none of which the other workloads reach.
-#include <sys/socket.h>
 #include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -27,13 +32,12 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -63,6 +67,9 @@ using namespace mimdmap::serve;
 /// of a 4-vCPU KVM host sustain on this request mix (a computed request
 /// holds a lane for about 0.46 ms, a cached one none).
 constexpr double kRate = 1200.0;
+/// Latency windows: slices of the schedule this long. Each holds 300
+/// requests, so its p90 has 30 beyond it, and steal is measured per slice.
+constexpr double kWindowS = 0.25;
 constexpr int kConnections = 2;
 /// First-session requests: enough journaled pairs that recovery, at
 /// roughly 13 us a pair, dominates the restart.
@@ -208,6 +215,21 @@ class Connection {
     return true;
   }
 
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+
+  /// Appends the frame lines completed by the bytes waiting on the socket
+  /// (one non-blocking recv); false once the peer has closed.
+  bool read_ready(std::vector<std::string>& out) {
+    char buf[16384];
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n < 0) return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
+    if (n == 0) return false;
+    for (FrameReader::Line& l : reader_.feed(buf, static_cast<std::size_t>(n))) {
+      out.push_back(std::move(l.text));
+    }
+    return true;
+  }
+
   /// Sends one request and returns its answer frame (op=stats / metrics).
   std::map<std::string, std::string> ask(const std::string& frame, const std::string& event) {
     send(frame);
@@ -225,34 +247,6 @@ class Connection {
   std::deque<std::string> lines_;
 };
 
-/// Client threads: an exception (a refused connection, a failed send)
-/// ends that thread and is reported as a gate failure after the join.
-class ClientThreads {
- public:
-  template <typename F>
-  void spawn(F body) {
-    threads_.emplace_back([this, body = std::move(body)]() mutable {
-      try {
-        body();
-      } catch (const std::exception& e) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        errors_.emplace_back(e.what());
-      }
-    });
-  }
-  void join(WorkloadResult& r) {
-    for (std::thread& t : threads_) t.join();
-    threads_.clear();
-    for (const std::string& e : errors_) r.fail("client thread: " + e);
-    errors_.clear();
-  }
-
- private:
-  std::vector<std::thread> threads_;
-  std::mutex mutex_;
-  std::vector<std::string> errors_;
-};
-
 /// Terminal frame of one request as the client saw it.
 struct Answer {
   std::string event;  // result | overloaded | error
@@ -265,13 +259,11 @@ struct Answer {
 /// Records one frame against its request tag: accepted frames are counted,
 /// the first terminal frame (result, overloaded or error) is kept and later
 /// ones only counted. Returns whether the frame was terminal.
-bool record(const std::string& line, std::unordered_map<std::string, Answer>& out,
-            std::mutex& mutex) {
+bool record(const std::string& line, std::unordered_map<std::string, Answer>& out) {
   const std::int64_t now = now_ns();
   auto kv = parse_response(line);
   const std::string event = kv["event"];
   const bool terminal = event == "result" || event == "overloaded" || event == "error";
-  const std::lock_guard<std::mutex> lock(mutex);
   Answer& a = out[kv["id"]];
   if (event == "accepted") ++a.accepted;
   if (terminal && ++a.terminals == 1) {
@@ -282,40 +274,87 @@ bool record(const std::string& line, std::unordered_map<std::string, Answer>& ou
   return terminal;
 }
 
-/// Reads frames until `expect` terminal frames have arrived (or the peer
-/// closes).
-void collect(Connection& conn, std::size_t expect, std::unordered_map<std::string, Answer>& out,
-             std::mutex& mutex) {
-  std::size_t terminals = 0;
-  std::string line;
-  while (terminals < expect && conn.read(line)) {
-    if (record(line, out, mutex)) ++terminals;
+/// The load generator: kConnections connections driven from one thread,
+/// so generating load and reading answers never compete for a CPU.
+/// Request i goes out on connection i % kConnections.
+class Clients {
+ public:
+  explicit Clients(const std::string& socket) {
+    for (int c = 0; c < kConnections; ++c) {
+      conns_.push_back(std::make_unique<Connection>(socket));
+      fds_.push_back({conns_.back()->fd(), POLLIN, 0});
+    }
   }
+
+  void send(std::size_t i, const std::string& line) { conns_[i % conns_.size()]->send(line); }
+
+  /// Waits up to wait_ns for frames and records those that arrive, adding
+  /// each connection's terminal frames to done[c]. Throws when a
+  /// connection closes, or when nothing arrives within a wait of kSilenceNs.
+  void pump(std::int64_t wait_ns, std::unordered_map<std::string, Answer>& out,
+            std::vector<std::size_t>& done) {
+    const timespec wait{static_cast<time_t>(wait_ns / 1'000'000'000),
+                        static_cast<long>(wait_ns % 1'000'000'000)};
+    const int ready = ::ppoll(fds_.data(), fds_.size(), &wait, nullptr);
+    if (ready < 0 && errno != EINTR) throw std::runtime_error("poll failed");
+    if (ready == 0 && wait_ns >= kSilenceNs) throw std::runtime_error("no frame for 60 s");
+    for (std::size_t c = 0; ready > 0 && c < fds_.size(); ++c) {
+      if (fds_[c].revents == 0) continue;
+      if (!conns_[c]->read_ready(frames_)) throw std::runtime_error("daemon closed a connection");
+      for (const std::string& frame : frames_) done[c] += record(frame, out) ? 1 : 0;
+      frames_.clear();
+    }
+  }
+
+  static constexpr std::int64_t kSilenceNs = 60'000'000'000;
+
+ private:
+  std::vector<std::unique_ptr<Connection>> conns_;
+  std::vector<pollfd> fds_;
+  std::vector<std::string> frames_;
+};
+
+std::size_t sum(const std::vector<std::size_t>& v) {
+  return std::accumulate(v.begin(), v.end(), std::size_t{0});
 }
 
 /// Closed loop with kWindow requests in flight per connection.
 void closed_loop(const std::string& socket, const std::vector<std::string>& lines,
-                 std::unordered_map<std::string, Answer>& out, std::mutex& mutex,
-                 WorkloadResult& r) {
-  ClientThreads threads;
-  for (int c = 0; c < kConnections; ++c) {
-    threads.spawn([&, c] {
-      Connection conn(socket);
-      std::vector<const std::string*> mine;
-      for (std::size_t i = static_cast<std::size_t>(c); i < lines.size(); i += kConnections) {
-        mine.push_back(&lines[i]);
+                 std::unordered_map<std::string, Answer>& out) {
+  Clients clients(socket);
+  std::vector<std::size_t> sent(kConnections, 0);
+  std::vector<std::size_t> done(kConnections, 0);
+  while (sum(done) < lines.size()) {
+    for (std::size_t c = 0; c < sent.size(); ++c) {
+      for (std::size_t i = c + sent[c] * sent.size();
+           i < lines.size() && sent[c] - done[c] < kWindow; i += sent.size(), ++sent[c]) {
+        clients.send(i, lines[i]);
       }
-      std::size_t sent = 0;
-      std::size_t done = 0;
-      std::string line;
-      while (done < mine.size()) {
-        while (sent < mine.size() && sent - done < kWindow) conn.send(*mine[sent++]);
-        if (!conn.read(line)) break;
-        if (record(line, out, mutex)) ++done;
-      }
-    });
+    }
+    clients.pump(Clients::kSilenceNs, out, done);
   }
-  threads.join(r);
+}
+
+/// Open loop: request i is sent at due[i] (sent[i] records when it was),
+/// and frames are read whenever no send is due. window_cpu gets a host
+/// sample as the first request of every window of window_n has gone out.
+void open_loop(const std::string& socket, const std::vector<std::string>& lines,
+               const std::vector<std::int64_t>& due, std::vector<std::int64_t>& sent,
+               std::unordered_map<std::string, Answer>& out, std::size_t window_n,
+               std::vector<CpuTimes>& window_cpu) {
+  Clients clients(socket);
+  std::vector<std::size_t> done(kConnections, 0);
+  std::size_t next = 0;
+  while (sum(done) < lines.size()) {
+    std::int64_t now = now_ns();
+    for (; next < lines.size() && due[next] <= now; ++next) {
+      sent[next] = now;
+      clients.send(next, lines[next]);
+      if (next % window_n == 0) window_cpu.push_back(host_now().cpu);
+      now = now_ns();
+    }
+    clients.pump(next < lines.size() ? due[next] - now : Clients::kSilenceNs, out, done);
+  }
 }
 
 std::uint64_t metric_value(const std::string& exposition, const std::string& name) {
@@ -404,8 +443,11 @@ WorkloadResult run_serve_durable(const RunConfig& config, SpanLog& spans) {
     }
     auto server = std::make_unique<MapServer>(server_options(dir + "/journal", pool));
     server->listen_unix(socket);
-    std::mutex mutex;
-    closed_loop(socket, lines, first_answers, mutex, r);
+    try {
+      closed_loop(socket, lines, first_answers);
+    } catch (const std::exception& e) {
+      r.fail(std::string("first-session client: ") + e.what());
+    }
     server->request_drain(DrainMode::kFinish);
     server->wait();
   }
@@ -447,39 +489,33 @@ WorkloadResult run_serve_durable(const RunConfig& config, SpanLog& spans) {
     Connection probe(socket);
     metrics_before = unescape(probe.ask("op=metrics\n", "metrics")["data"]);
   }
+  std::vector<std::string> timed_lines;
+  for (std::size_t i = 0; i < timed_n; ++i) {
+    timed_lines.push_back(submit_line(tag_of('t', i), timed[i]));
+  }
   std::vector<std::int64_t> due(timed_n);
   std::vector<std::int64_t> sent(timed_n);
   std::unordered_map<std::string, Answer> answers;
-  std::mutex answers_mutex;
   const std::int64_t start = now_ns() + 20'000'000;  // connections open first
   const double gap_ns = 1e9 / kRate;
   for (std::size_t i = 0; i < timed_n; ++i) {
     due[i] = start + static_cast<std::int64_t>(static_cast<double>(i) * gap_ns);
   }
+  const auto window_n = static_cast<std::size_t>(kRate * kWindowS);
+  const std::size_t windows = (timed_n + window_n - 1) / window_n;
+  std::vector<CpuTimes> window_cpu;
   r.timed_begin = host_now();
-  {
-    std::vector<std::unique_ptr<Connection>> conns;
-    for (int c = 0; c < kConnections; ++c) conns.push_back(std::make_unique<Connection>(socket));
-    ClientThreads threads;
-    for (int c = 0; c < kConnections; ++c) {
-      const std::size_t expect = (timed_n + kConnections - 1 - static_cast<std::size_t>(c)) /
-                                 kConnections;
-      threads.spawn([&, c, expect] {
-        collect(*conns[static_cast<std::size_t>(c)], expect, answers, answers_mutex);
-      });
-      threads.spawn([&, c] {
-        Connection& conn = *conns[static_cast<std::size_t>(c)];
-        for (std::size_t i = static_cast<std::size_t>(c); i < timed_n; i += kConnections) {
-          const std::string line = submit_line(tag_of('t', i), timed[i]);
-          std::this_thread::sleep_until(Clock::time_point(std::chrono::nanoseconds(due[i])));
-          sent[i] = now_ns();
-          conn.send(line);
-        }
-      });
-    }
-    threads.join(r);
+  try {
+    open_loop(socket, timed_lines, due, sent, answers, window_n, window_cpu);
+  } catch (const std::exception& e) {
+    r.fail(std::string("open-loop client: ") + e.what());
   }
   r.timed_end = host_now();
+  // A session cut short by a client failure leaves its last windows unsampled.
+  while (window_cpu.size() <= windows) window_cpu.push_back(r.timed_end.cpu);
+  for (std::size_t k = 0; k < windows; ++k) {
+    r.latency_steal_pct.push_back(steal_pct(window_cpu[k], window_cpu[k + 1]));
+  }
   const std::int64_t session_end = now_ns();
   r.timed_wall_s = static_cast<double>(session_end - start) / 1e9;
 
@@ -533,7 +569,7 @@ WorkloadResult run_serve_durable(const RunConfig& config, SpanLog& spans) {
   std::set<std::string> check_fps;
   std::vector<std::pair<std::string, std::map<std::string, std::string>>> to_check;
   std::vector<bool> was_computed(timed_n, false);
-  r.window_latency_ms.resize(static_cast<std::size_t>(config.seconds));
+  r.window_latency_ms.resize(windows);
   for (std::size_t i = 0; i < timed_n; ++i) {
     const std::string tag = tag_of('t', i);
     ++r.attempted;
@@ -549,9 +585,7 @@ WorkloadResult run_serve_durable(const RunConfig& config, SpanLog& spans) {
     if (!ok) {
       // A lost, shed or failed request misses every latency limit.
       r.latency_ms.push_back(open_loop_latency_ms(due[i], session_end));
-      r.window_latency_ms[std::min(r.window_latency_ms.size() - 1,
-                                   static_cast<std::size_t>(static_cast<double>(i) / kRate))]
-          .push_back(r.latency_ms.back());
+      r.window_latency_ms[i / window_n].push_back(r.latency_ms.back());
       if (!answered) r.fail(tag + ": no terminal frame");
       continue;
     }
@@ -559,9 +593,7 @@ WorkloadResult run_serve_durable(const RunConfig& config, SpanLog& spans) {
     if (a.accepted != 1) r.fail(tag + ": result without exactly one accepted frame");
     const double latency = open_loop_latency_ms(due[i], a.done_ns);
     r.latency_ms.push_back(latency);
-    r.window_latency_ms[std::min(r.window_latency_ms.size() - 1,
-                                 static_cast<std::size_t>(static_cast<double>(i) / kRate))]
-        .push_back(latency);
+    r.window_latency_ms[i / window_n].push_back(latency);
     const std::string& fp = a.kv.at("fingerprint");
     const Outcome got = outcome_of(a.kv);
     const auto ref = computed.find(fp);

@@ -34,14 +34,15 @@ struct WorkloadResult {
   /// Every latency sample of the timed phase (p99 and the sample-count
   /// rule read these).
   std::vector<double> latency_ms;
-  /// The timed phase split into windows (passes or time slices). Host
-  /// speed swings in bursts of seconds, so a run reports medians over its
-  /// windows: throughput is the median window rate when window_rates is
-  /// set, and p50/p90 are the medians of the per-window percentiles when
-  /// window_latency_ms is set (each window then holds at least 100
-  /// samples).
+  /// The timed phase split into windows (passes or time slices), each with
+  /// the host steal measured over it. A run reports its timings over the
+  /// quiet windows (quiet_windows): throughput is the median window rate
+  /// when window_rates is set, and p50/p90 are percentiles of the pooled
+  /// latency samples of the quiet windows.
   std::vector<double> window_rates;
+  std::vector<double> rate_steal_pct;  // one per window_rates entry
   std::vector<std::vector<double>> window_latency_ms;
+  std::vector<double> latency_steal_pct;  // one per window_latency_ms entry
   double quality_sum_pct = 0.0;  // sum of 100 * total / lower bound over ok results
   std::int64_t quality_n = 0;
   HostSample timed_begin;
