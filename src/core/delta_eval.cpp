@@ -128,6 +128,7 @@ DeltaCacheConfig resolve_delta_cache(int slots, std::int64_t max_np) {
 DeltaEval::DeltaEval(const EvalEngine& engine, std::span<const NodeId> host_of,
                      const EvalOptions& options, const DeltaOptions& delta_options)
     : engine_(&engine),
+      tables_(&engine.delta_tables()),
       options_(options),
       dopt_(delta_options),
       version_(resolve_delta_version(delta_options.version)),
@@ -180,7 +181,7 @@ DeltaEval::DeltaEval(const EvalEngine& engine, std::span<const NodeId> host_of,
 }
 
 void DeltaEval::rebuild_committed_aux() {
-  const std::vector<NodeId>& topo = engine_->topo_order_;
+  const std::vector<NodeId>& topo = engine_->instance_.topo_order();
   Weight total = 0;
   for (std::size_t i = 0; i < np_; ++i) {
     prefix_max_end_[i] = total;
@@ -192,7 +193,7 @@ void DeltaEval::rebuild_committed_aux() {
     Weight bound = 0;
     for (std::size_t i = 0; i < np_; ++i) {
       prefix_max_bound_[i] = bound;
-      bound = std::max(bound, end_[idx(topo[i])] + engine_->tail0_[idx(topo[i])]);
+      bound = std::max(bound, end_[idx(topo[i])] + tables_->tail0[idx(topo[i])]);
     }
     prefix_max_bound_[np_] = bound;
     // Ancestor-cluster masks of the committed makespan holders (plain-mode
@@ -204,7 +205,7 @@ void DeltaEval::rebuild_committed_aux() {
     holder_reach_.clear();
     if (!options_.serialize_within_processor && !options_.link_contention && ns_ <= 64) {
       for (std::size_t v = 0; v < np_ && holder_reach_.size() < 8; ++v) {
-        if (end_[v] == total) holder_reach_.push_back(engine_->reach_clusters_[v]);
+        if (end_[v] == total) holder_reach_.push_back(tables_->reach_clusters[v]);
       }
     }
     // Committed proc_free checkpoints every 64 positions (anchored
@@ -387,7 +388,7 @@ Weight DeltaEval::run_verdict_full_trial() {
     // are write-only, so commit() merges the prefix from the committed
     // arrays instead of copying them here.
     std::copy_n(end_.begin(), np_, full_ws_.end.begin());
-    const std::vector<NodeId>& topo = engine_->topo_order_;
+    const std::vector<NodeId>& topo = engine_->instance_.topo_order();
     if (serialize) {
       const std::size_t ck = start_pos / 64;
       std::copy_n(proc_ckpt_.begin() + static_cast<std::ptrdiff_t>(ck * ns_), ns_,
@@ -443,7 +444,7 @@ std::size_t DeltaEval::seed_dirty() {
   // hosts.
   const bool contention = options_.link_contention;
   const Matrix<Weight>& hops = engine_->instance_.hops();
-  const EvalEngine::ClusterArc* const carcs = engine_->cluster_arcs_.data();
+  const EvalEngine::ClusterArc* const carcs = tables_->cluster_arcs.data();
   const bool plain_bits = !options_.serialize_within_processor && !contention;
 
   std::size_t min_pos = np_;
@@ -457,11 +458,11 @@ std::size_t DeltaEval::seed_dirty() {
     // even when no arc cost changes.
     if (options_.serialize_within_processor) {
       min_pos = std::min(min_pos,
-                         static_cast<std::size_t>(engine_->cluster_min_pos_[idx(c)]));
+                         static_cast<std::size_t>(tables_->cluster_min_pos[idx(c)]));
     }
 
-    const std::uint32_t lo = engine_->cluster_arc_offset_[idx(c)];
-    const std::uint32_t hi = engine_->cluster_arc_offset_[idx(c) + 1];
+    const std::uint32_t lo = tables_->cluster_arc_offset[idx(c)];
+    const std::uint32_t hi = tables_->cluster_arc_offset[idx(c) + 1];
     bool any_changed = hi > lo;  // contention: any boundary arc reroutes
     if (!contention) {
       any_changed = false;
@@ -523,8 +524,8 @@ std::size_t DeltaEval::collect_probe_groups() {
   // key — so group selection needs one mask branch per pair.
   const bool contention = options_.link_contention;
   const Matrix<Weight>& hops = engine_->instance_.hops();
-  const std::uint32_t* const pair_off = engine_->cluster_pair_offset_.data();
-  const std::uint32_t* const pair_min = engine_->cluster_pair_min_pos_.data();
+  const std::uint32_t* const pair_off = tables_->cluster_pair_offset.data();
+  const std::uint32_t* const pair_min = tables_->cluster_pair_min_pos.data();
   const std::size_t gpc = 2 * ns_;  // groups per cluster
 
   probe_groups_.clear();
@@ -535,7 +536,7 @@ std::size_t DeltaEval::collect_probe_groups() {
     const NodeId new_pv = moved_new_hosts_[m];
     if (options_.serialize_within_processor) {
       min_pos = std::min(min_pos,
-                         static_cast<std::size_t>(engine_->cluster_min_pos_[idx(c)]));
+                         static_cast<std::size_t>(tables_->cluster_min_pos[idx(c)]));
     }
     for (NodeId oc = 0; oc < node_id(ns_); ++oc) {
       bool in_ch = true;   // contention: every boundary arc reroutes
@@ -564,8 +565,8 @@ std::size_t DeltaEval::collect_probe_groups() {
 
 void DeltaEval::seed_from_collected() {
   const bool plain_bits = !options_.serialize_within_processor && !options_.link_contention;
-  const std::uint32_t* const pair_off = engine_->cluster_pair_offset_.data();
-  const EvalEngine::ClusterArc* const carcs = engine_->cluster_arcs_.data();
+  const std::uint32_t* const pair_off = tables_->cluster_pair_offset.data();
+  const EvalEngine::ClusterArc* const carcs = tables_->cluster_arcs.data();
   seed_count_ = 0;
   for (const std::uint32_t g : probe_groups_) {
     for (std::uint32_t a = pair_off[g]; a < pair_off[g + 1]; ++a) {
@@ -588,7 +589,7 @@ const Weight* DeltaEval::pair_potential() {
   if (cache_slots_ == 0 || (cache_max_np_ > 0 && np_ > cache_max_np_)) {
     ++stats_.potential_cache_disabled;
     trial_prefix_bound_ = prefix_max_bound_.data();
-    return engine_->tail0_.data();
+    return tables_->tail0.data();
   }
   std::uint32_t a = static_cast<std::uint32_t>(idx(moved_clusters_[0]));
   std::uint32_t b =
@@ -629,7 +630,7 @@ const Weight* DeltaEval::pair_potential() {
   const NodeId c1 = moved_clusters_[0];
   const NodeId c2 = moved_count_ == 2 ? moved_clusters_[1] : moved_clusters_[0];
   slot.tail.assign(np_, 0);
-  const std::vector<NodeId>& topo = engine_->topo_order_;
+  const std::vector<NodeId>& topo = engine_->instance_.topo_order();
 
   std::vector<Weight> proc_suffix;  // serialize: remaining unmoved work per proc
   if (serialize) proc_suffix.assign(ns_, 0);
@@ -663,10 +664,10 @@ const Weight* DeltaEval::pair_potential() {
     }
 
     Weight t = 0;
-    const std::uint32_t slo = engine_->succ_offset_[idx(v)];
-    const std::uint32_t shi = engine_->succ_offset_[idx(v) + 1];
+    const std::uint32_t slo = tables_->succ_offset[idx(v)];
+    const std::uint32_t shi = tables_->succ_offset[idx(v) + 1];
     for (std::uint32_t s = slo; s < shi; ++s) {
-      const EvalEngine::SuccArc& sarc = engine_->succ_arcs_[s];
+      const EvalEngine::SuccArc& sarc = tables_->succ_arcs[s];
       Weight cost = 0;
       if (sarc.weight > 0 && !moved_v && sarc.succ_cluster != c1 &&
           sarc.succ_cluster != c2) {
@@ -752,9 +753,9 @@ Weight DeltaEval::verdict_probe(std::size_t anchor) const {
   // end(tail) + re-costed arc + head weight lower-bounds the head's trial
   // end. Any candidate whose potential-augmented score reaches the cutoff
   // certifies immediately; otherwise the strongest seeds the walk.
-  const std::uint32_t* const pair_off = engine_->cluster_pair_offset_.data();
-  const EvalEngine::ClusterArc* const carcs = engine_->cluster_arcs_.data();
-  const std::uint32_t* const topo_pos = engine_->topo_pos_.data();
+  const std::uint32_t* const pair_off = tables_->cluster_pair_offset.data();
+  const EvalEngine::ClusterArc* const carcs = tables_->cluster_arcs.data();
+  const std::uint32_t* const topo_pos = tables_->topo_pos.data();
   NodeId best_head = -1;
   Weight best_end = 0;
   Weight best_score = -1;
@@ -809,15 +810,15 @@ Weight DeltaEval::greedy_walk_bound(NodeId v, Weight b) const {
     if (b + tail0[idx(v)] >= cutoff) {
       return b + tail0[idx(v)];
     }
-    const std::uint32_t slo = engine_->succ_offset_[idx(v)];
-    const std::uint32_t shi = engine_->succ_offset_[idx(v) + 1];
+    const std::uint32_t slo = tables_->succ_offset[idx(v)];
+    const std::uint32_t shi = tables_->succ_offset[idx(v) + 1];
     if (slo == shi) return -1;  // reached a sink without certifying
     const NodeId pv = host_[idx(cluster_of[idx(v)])];
     Weight step_best = -1;
     Weight step_end = 0;
     NodeId next = -1;
     for (std::uint32_t s = slo; s < shi; ++s) {
-      const EvalEngine::SuccArc& sarc = engine_->succ_arcs_[s];
+      const EvalEngine::SuccArc& sarc = tables_->succ_arcs[s];
       Weight en = b + node_weight[idx(sarc.succ)];
       if (sarc.weight > 0) {
         const NodeId sp = host_[idx(sarc.succ_cluster)];
@@ -877,7 +878,7 @@ Weight DeltaEval::run_trial(Weight cutoff) {
   if (use_cutoff) {
     trial_potential_ = pair_potential();  // also sets trial_prefix_bound_
   } else {
-    trial_potential_ = engine_->tail0_.data();
+    trial_potential_ = tables_->tail0.data();
     trial_prefix_bound_ = prefix_max_bound_.data();
   }
   if (use_cutoff) {
@@ -964,12 +965,12 @@ Weight DeltaEval::run_trial_plain() {
   // popping the lowest set bit processes tasks in topological order, and
   // successor marks always land at higher positions, so one forward pass
   // over the words drains the frontier. Clean tasks are never visited.
-  const std::vector<NodeId>& topo = engine_->topo_order_;
-  const std::uint32_t* const topo_pos = engine_->topo_pos_.data();
+  const std::vector<NodeId>& topo = engine_->instance_.topo_order();
+  const std::uint32_t* const topo_pos = tables_->topo_pos.data();
   const EvalEngine::PredArc* const arcs = engine_->pred_arcs_.data();
-  const EvalEngine::SuccArc* const succ_arcs = engine_->succ_arcs_.data();
+  const EvalEngine::SuccArc* const succ_arcs = tables_->succ_arcs.data();
   const std::uint32_t* const pred_offset = engine_->pred_offset_.data();
-  const std::uint32_t* const succ_offset = engine_->succ_offset_.data();
+  const std::uint32_t* const succ_offset = tables_->succ_offset.data();
   const NodeId* const cluster_of = engine_->cluster_of_.data();
   const Weight* const node_weight = engine_->node_weight_.data();
   const NodeId* const host = host_.data();
@@ -1050,12 +1051,12 @@ Weight DeltaEval::run_trial_plain_v2() {
   // cutoff, and recomputed tasks push their successors' trial arrivals at
   // mark time (one hops lookup per changed in-arc instead of a full
   // in-arc rescan at the successor).
-  const std::vector<NodeId>& topo = engine_->topo_order_;
-  const std::uint32_t* const topo_pos = engine_->topo_pos_.data();
+  const std::vector<NodeId>& topo = engine_->instance_.topo_order();
+  const std::uint32_t* const topo_pos = tables_->topo_pos.data();
   const EvalEngine::PredArc* const arcs = engine_->pred_arcs_.data();
-  const EvalEngine::SuccArc* const succ_arcs = engine_->succ_arcs_.data();
+  const EvalEngine::SuccArc* const succ_arcs = tables_->succ_arcs.data();
   const std::uint32_t* const pred_offset = engine_->pred_offset_.data();
-  const std::uint32_t* const succ_offset = engine_->succ_offset_.data();
+  const std::uint32_t* const succ_offset = tables_->succ_offset.data();
   const NodeId* const cluster_of = engine_->cluster_of_.data();
   const Weight* const node_weight = engine_->node_weight_.data();
   const NodeId* const host = host_.data();
@@ -1186,11 +1187,11 @@ Weight DeltaEval::run_trial_plain_v2() {
 Weight DeltaEval::run_trial_scan() {
   const bool serialize = options_.serialize_within_processor;
   const bool contention = options_.link_contention;
-  const std::vector<NodeId>& topo = engine_->topo_order_;
+  const std::vector<NodeId>& topo = engine_->instance_.topo_order();
   const EvalEngine::PredArc* const arcs = engine_->pred_arcs_.data();
-  const EvalEngine::SuccArc* const succ_arcs = engine_->succ_arcs_.data();
+  const EvalEngine::SuccArc* const succ_arcs = tables_->succ_arcs.data();
   const std::uint32_t* const pred_offset = engine_->pred_offset_.data();
-  const std::uint32_t* const succ_offset = engine_->succ_offset_.data();
+  const std::uint32_t* const succ_offset = tables_->succ_offset.data();
   const NodeId* const cluster_of = engine_->cluster_of_.data();
   const Weight* const node_weight = engine_->node_weight_.data();
   const Matrix<Weight>& hops = engine_->instance_.hops();
@@ -1354,7 +1355,7 @@ void DeltaEval::make_link_dirty(std::size_t li, std::int64_t rank, Weight live) 
   // order, so the walk only marks the current position or later ones.
   const std::uint32_t base = bucket_offset_[li];
   const std::uint32_t bend = bucket_offset_[li + 1];
-  const NodeId* const topo = engine_->topo_order_.data();
+  const NodeId* const topo = engine_->instance_.topo_order().data();
   for (std::uint32_t e = base + static_cast<std::uint32_t>(rank + 1); e < bend; ++e) {
     dirty_stamp_[idx(topo[bucket_pos_[e]])] = epoch_;
   }
@@ -1377,11 +1378,11 @@ Weight DeltaEval::run_trial_scan_v2() {
   const bool serialize = options_.serialize_within_processor;
   const bool contention = options_.link_contention;
   const bool use_markers = !contention;  // claims demand exact recomputes
-  const std::vector<NodeId>& topo = engine_->topo_order_;
+  const std::vector<NodeId>& topo = engine_->instance_.topo_order();
   const EvalEngine::PredArc* const arcs = engine_->pred_arcs_.data();
-  const EvalEngine::SuccArc* const succ_arcs = engine_->succ_arcs_.data();
+  const EvalEngine::SuccArc* const succ_arcs = tables_->succ_arcs.data();
   const std::uint32_t* const pred_offset = engine_->pred_offset_.data();
-  const std::uint32_t* const succ_offset = engine_->succ_offset_.data();
+  const std::uint32_t* const succ_offset = tables_->succ_offset.data();
   const NodeId* const cluster_of = engine_->cluster_of_.data();
   const Weight* const node_weight = engine_->node_weight_.data();
   const Weight* const tail0 = trial_potential_;
@@ -1629,7 +1630,7 @@ void DeltaEval::commit() {
     } else {
       // Anchored verdict-kernel trial: the prefix never left the committed
       // arrays, only the suffix was rescheduled.
-      const std::vector<NodeId>& topo = engine_->topo_order_;
+      const std::vector<NodeId>& topo = engine_->instance_.topo_order();
       for (std::size_t pos = full_start_pos_; pos < np_; ++pos) {
         const NodeId v = topo[pos];
         start_[idx(v)] = full_ws_.start[idx(v)];

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "graph/topological.hpp"
 #include "obs/trace.hpp"
 
 namespace mimdmap {
@@ -17,10 +16,6 @@ EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPo
     : instance_(instance), pool_(pool ? std::move(pool) : ThreadPool::shared()) {
   if (instance.shared_tables()) adopt_topology(instance.shared_tables());
   const TaskGraph& problem = instance.problem();
-  const auto order = topological_order(problem);
-  if (!order) throw std::invalid_argument("evaluate: problem graph has a cycle");
-  topo_order_ = *order;
-
   cluster_of_ = instance.clustering().cluster_map();
   node_weight_ = problem.node_weights();
 
@@ -41,61 +36,73 @@ EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPo
     }
   }
   pred_offset_[idx(np)] = static_cast<std::uint32_t>(pred_arcs_.size());
+}
 
-  topo_pos_.assign(idx(np), 0);
-  for (std::size_t pos = 0; pos < topo_order_.size(); ++pos) {
-    topo_pos_[idx(topo_order_[pos])] = static_cast<std::uint32_t>(pos);
+const EvalEngine::DeltaTables& EvalEngine::delta_tables() const {
+  std::call_once(delta_once_, [&] { build_delta_tables(); });
+  return delta_tables_;
+}
+
+void EvalEngine::build_delta_tables() const {
+  const TaskGraph& problem = instance_.problem();
+  const std::vector<NodeId>& topo = instance_.topo_order();
+  const NodeId np = problem.node_count();
+  DeltaTables& t = delta_tables_;
+
+  t.topo_pos.assign(idx(np), 0);
+  for (std::size_t pos = 0; pos < topo.size(); ++pos) {
+    t.topo_pos[idx(topo[pos])] = static_cast<std::uint32_t>(pos);
   }
 
   // Successor CSR mirroring the predecessor CSR — the delta evaluator's
   // dirty-set propagation walks it forward, and seeds per arc off the
   // pre-resolved successor cluster.
-  succ_arcs_.reserve(total_arcs);
-  succ_offset_.assign(idx(np) + 1, 0);
+  t.succ_arcs.reserve(pred_arcs_.size());
+  t.succ_offset.assign(idx(np) + 1, 0);
   for (NodeId v = 0; v < np; ++v) {
-    succ_offset_[idx(v)] = static_cast<std::uint32_t>(succ_arcs_.size());
+    t.succ_offset[idx(v)] = static_cast<std::uint32_t>(t.succ_arcs.size());
     for (const auto& [succ, edge_w] : problem.successors(v)) {
       const NodeId sc = cluster_of_[idx(succ)];
-      succ_arcs_.push_back({succ, sc, sc == cluster_of_[idx(v)] ? 0 : edge_w});
+      t.succ_arcs.push_back({succ, sc, sc == cluster_of_[idx(v)] ? 0 : edge_w});
     }
   }
-  succ_offset_[idx(np)] = static_cast<std::uint32_t>(succ_arcs_.size());
+  t.succ_offset[idx(np)] = static_cast<std::uint32_t>(t.succ_arcs.size());
 
   // Ancestor-cluster bitmasks (one forward pass over the predecessor CSR).
   // With more than 64 clusters the masks degrade to all-ones, which only
   // disables the certificate that reads them, never falsifies it.
-  reach_clusters_.assign(idx(np), ~std::uint64_t{0});
-  if (idx(instance.num_processors()) <= 64) {
-    for (const NodeId v : topo_order_) {
+  t.reach_clusters.assign(idx(np), ~std::uint64_t{0});
+  if (idx(instance_.num_processors()) <= 64) {
+    for (const NodeId v : topo) {
       std::uint64_t mask = std::uint64_t{1} << idx(cluster_of_[idx(v)]);
       for (std::uint32_t a = pred_offset_[idx(v)]; a < pred_offset_[idx(v) + 1]; ++a) {
-        mask |= reach_clusters_[idx(pred_arcs_[a].pred)];
+        mask |= t.reach_clusters[idx(pred_arcs_[a].pred)];
       }
-      reach_clusters_[idx(v)] = mask;
+      t.reach_clusters[idx(v)] = mask;
     }
   }
 
   // Downstream node-weight potential (one reverse pass over the successor
-  // CSR): tail0_[v] = max over successors of (weight(succ) + tail0_[succ]).
-  tail0_.assign(idx(np), 0);
-  for (std::size_t i = topo_order_.size(); i-- > 0;) {
-    const NodeId v = topo_order_[i];
-    Weight t = 0;
-    for (std::uint32_t s = succ_offset_[idx(v)]; s < succ_offset_[idx(v) + 1]; ++s) {
-      const NodeId succ = succ_arcs_[s].succ;
-      t = std::max(t, node_weight_[idx(succ)] + tail0_[idx(succ)]);
+  // CSR): tail0[v] = max over successors of (weight(succ) + tail0[succ]).
+  t.tail0.assign(idx(np), 0);
+  for (std::size_t i = topo.size(); i-- > 0;) {
+    const NodeId v = topo[i];
+    Weight tail = 0;
+    for (std::uint32_t s = t.succ_offset[idx(v)]; s < t.succ_offset[idx(v) + 1]; ++s) {
+      const NodeId succ = t.succ_arcs[s].succ;
+      tail = std::max(tail, node_weight_[idx(succ)] + t.tail0[idx(succ)]);
     }
-    tail0_[idx(v)] = t;
+    t.tail0[idx(v)] = tail;
   }
 
   // Per-cluster inter-cluster arc lists plus earliest member position —
   // the delta evaluator's seed scan touches exactly these arcs instead of
   // walking every member's adjacency.
-  const NodeId nc = instance.num_processors();
-  cluster_min_pos_.assign(idx(nc), static_cast<std::uint32_t>(idx(np)));
+  const NodeId nc = instance_.num_processors();
+  t.cluster_min_pos.assign(idx(nc), static_cast<std::uint32_t>(idx(np)));
   for (NodeId v = 0; v < np; ++v) {
-    std::uint32_t& mp = cluster_min_pos_[idx(cluster_of_[idx(v)])];
-    mp = std::min(mp, topo_pos_[idx(v)]);
+    std::uint32_t& mp = t.cluster_min_pos[idx(cluster_of_[idx(v)])];
+    mp = std::min(mp, t.topo_pos[idx(v)]);
   }
   std::vector<std::vector<ClusterArc>> by_cluster(idx(nc));
   for (const TaskEdge& e : problem.edges()) {
@@ -103,19 +110,19 @@ EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPo
     const NodeId cv = cluster_of_[idx(e.to)];
     if (cu == cv) continue;
     const Weight cw = e.weight;  // inter-cluster: clustered weight == edge weight
-    by_cluster[idx(cv)].push_back({e.to, topo_pos_[idx(e.to)], cu, true, e.from, cw});
-    by_cluster[idx(cu)].push_back({e.to, topo_pos_[idx(e.to)], cv, false, e.from, cw});
+    by_cluster[idx(cv)].push_back({e.to, t.topo_pos[idx(e.to)], cu, true, e.from, cw});
+    by_cluster[idx(cu)].push_back({e.to, t.topo_pos[idx(e.to)], cv, false, e.from, cw});
   }
   // Within each cluster, group the arcs by (other_cluster, incoming) so
   // the delta engines can select whole groups off their per-cluster-pair
   // distance-change masks (one branch per pair instead of per arc).
   const std::size_t groups_per_cluster = 2 * idx(nc);
-  cluster_pair_offset_.assign(idx(nc) * groups_per_cluster + 1, 0);
-  cluster_pair_min_pos_.assign(idx(nc) * groups_per_cluster,
-                               static_cast<std::uint32_t>(idx(np)));
-  cluster_arc_offset_.assign(idx(nc) + 1, 0);
+  t.cluster_pair_offset.assign(idx(nc) * groups_per_cluster + 1, 0);
+  t.cluster_pair_min_pos.assign(idx(nc) * groups_per_cluster,
+                                static_cast<std::uint32_t>(idx(np)));
+  t.cluster_arc_offset.assign(idx(nc) + 1, 0);
   for (NodeId c = 0; c < nc; ++c) {
-    cluster_arc_offset_[idx(c)] = static_cast<std::uint32_t>(cluster_arcs_.size());
+    t.cluster_arc_offset[idx(c)] = static_cast<std::uint32_t>(t.cluster_arcs.size());
     std::vector<ClusterArc>& list = by_cluster[idx(c)];
     std::stable_sort(list.begin(), list.end(),
                      [](const ClusterArc& a, const ClusterArc& b) {
@@ -127,14 +134,14 @@ EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPo
     for (const ClusterArc& arc : list) {
       const std::size_t g = idx(c) * groups_per_cluster + idx(arc.other_cluster) * 2 +
                             (arc.incoming ? 1 : 0);
-      cluster_pair_min_pos_[g] = std::min(cluster_pair_min_pos_[g], arc.head_pos);
+      t.cluster_pair_min_pos[g] = std::min(t.cluster_pair_min_pos[g], arc.head_pos);
     }
     // Group offsets: count per group, then prefix-sum over this cluster's
     // contiguous span (arcs are appended in sorted order right after).
-    const std::uint32_t base = static_cast<std::uint32_t>(cluster_arcs_.size());
+    const std::uint32_t base = static_cast<std::uint32_t>(t.cluster_arcs.size());
     std::size_t cursor = 0;
     for (std::size_t g = 0; g < groups_per_cluster; ++g) {
-      cluster_pair_offset_[idx(c) * groups_per_cluster + g] =
+      t.cluster_pair_offset[idx(c) * groups_per_cluster + g] =
           base + static_cast<std::uint32_t>(cursor);
       while (cursor < list.size()) {
         const ClusterArc& arc = list[cursor];
@@ -143,10 +150,10 @@ EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPo
         ++cursor;
       }
     }
-    cluster_arcs_.insert(cluster_arcs_.end(), list.begin(), list.end());
+    t.cluster_arcs.insert(t.cluster_arcs.end(), list.begin(), list.end());
   }
-  cluster_arc_offset_[idx(nc)] = static_cast<std::uint32_t>(cluster_arcs_.size());
-  cluster_pair_offset_.back() = static_cast<std::uint32_t>(cluster_arcs_.size());
+  t.cluster_arc_offset[idx(nc)] = static_cast<std::uint32_t>(t.cluster_arcs.size());
+  t.cluster_pair_offset.back() = static_cast<std::uint32_t>(t.cluster_arcs.size());
 }
 
 EvalEngine::~EvalEngine() = default;
@@ -206,7 +213,7 @@ Weight EvalEngine::run_schedule(std::span<const NodeId> host_of, const EvalOptio
   const PredArc* const arcs = pred_arcs_.data();
 
   Weight total = 0;
-  for (const NodeId v : topo_order_) {
+  for (const NodeId v : instance_.topo_order()) {
     const NodeId pv = host_of[idx(cluster_of_[idx(v)])];
     Weight st = 0;
     const std::uint32_t lo = pred_offset_[idx(v)];
@@ -268,9 +275,10 @@ Weight EvalEngine::run_schedule_verdict(std::span<const NodeId> host_of,
 
   Weight total = 0;
   std::size_t done = 0;
-  const std::size_t np = topo_order_.size();
+  const std::vector<NodeId>& topo = instance_.topo_order();
+  const std::size_t np = topo.size();
   for (std::size_t pos = start_pos; pos < np; ++pos) {
-    const NodeId v = topo_order_[pos];
+    const NodeId v = topo[pos];
     ++done;
     const NodeId pv = host_of[idx(cluster_of_[idx(v)])];
     Weight st = 0;
@@ -356,7 +364,7 @@ void EvalEngine::soa_schedule(std::span<const std::vector<NodeId>> hosts, SoaWor
   Weight* const total = ws.total.data();
   const PredArc* const arcs = pred_arcs_.data();
 
-  for (const NodeId v : topo_order_) {
+  for (const NodeId v : instance_.topo_order()) {
     const NodeId* const hv = host + idx(cluster_of_[idx(v)]) * W;
     Weight* const endv = end + idx(v) * W;  // start-time accumulator, then end
     for (std::size_t k = 0; k < nlive; ++k) {
@@ -494,15 +502,11 @@ int EvalEngine::resolve_batch_width(int requested, const EvalOptions& options) c
   }
   constexpr std::size_t kCacheBudget = 256 * 1024;
   const std::size_t w = kCacheBudget / std::max<std::size_t>(1, per_lane);
-  // Huge instances: once a single lane outgrows the whole budget the
-  // quotient collapses to 0, and the old clamp quietly degraded that to
-  // width 1 — discarding the SoA walk amortization exactly where it pays
-  // most (one CSR stream per wave serves every lane regardless of np, and
-  // cache residency is already lost either way). Hold a floor width
-  // instead; the fix is behavior-neutral for results (width invariance).
-  constexpr std::size_t kHugeInstanceFloor = 8;
-  if (w == 0) return static_cast<int>(kHugeInstanceFloor);
-  return static_cast<int>(std::clamp<std::size_t>(w, 1, 32));
+  // Floor of 8: once a few lanes outgrow the budget, cache residency is
+  // lost at any width, but one CSR stream per wave still serves every lane
+  // and only a wave carries the incumbent cutoff (the scalar width-1 path
+  // schedules every trial to the end). Width never changes results.
+  return static_cast<int>(std::clamp<std::size_t>(w, 8, 32));
 }
 
 ScheduleResult EvalEngine::workspace_to_result(const EvalWorkspace& ws, Weight total) const {

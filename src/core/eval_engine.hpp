@@ -8,7 +8,8 @@
 // link_contention) rebuilds a RoutingTable on every call. EvalEngine hoists
 // all of that per-*instance* work out of the per-*trial* loop:
 //
-//  * the topological order of the problem graph (fixed per instance),
+//  * the topological order of the problem graph (fixed per instance; read
+//    from MappingInstance::topo_order(), which computed it at construction),
 //  * a flat CSR predecessor array whose arcs carry pre-resolved
 //    (pred, cluster_of(pred), clus_edge(pred, v)) triples — one contiguous
 //    scan per trial instead of nested vector-of-pair walks plus two matrix
@@ -16,6 +17,9 @@
 //  * a flat cluster_of / node-weight lookup,
 //  * one shared RoutingTable with every route pre-flattened to a link-index
 //    sequence (built lazily, only when link_contention is first requested),
+//  * the delta evaluator's tables (successor CSR, per-cluster boundary
+//    arcs, potentials; built lazily by the first begin_delta, so the flat
+//    paper pipeline, which never starts a DeltaEval, never pays for them),
 //  * a handle on the process-wide shared ThreadPool (service/thread_pool.hpp)
 //    so parallel search loops stop paying thread-spawn latency per call and
 //    many engines mapping concurrently shard one pool instead of
@@ -181,7 +185,8 @@ class EvalEngine {
   /// (which must be a complete assignment). The returned DeltaEval scores
   /// single-cluster moves and cluster swaps by rescheduling only the
   /// affected suffix of the topological order — see the DeltaEval class
-  /// comment. The engine must outlive the returned object.
+  /// comment. The engine must outlive the returned object. The first call
+  /// on an engine builds the delta tables; concurrent calls are safe.
   [[nodiscard]] DeltaEval begin_delta(const Assignment& committed,
                                       const EvalOptions& options = {},
                                       const DeltaOptions& delta_options = {}) const;
@@ -279,9 +284,9 @@ class EvalEngine {
   /// MIMDMAP_EVAL_WIDTH environment variable when set to a positive
   /// integer ("auto", empty and malformed values defer to the tuner),
   /// else a width that fits the wave's per-lane state (end times
-  /// plus mode-dependent proc/link arrays) into a fixed L1/L2 cache budget
-  /// (DESIGN.md 12.2). Deterministic — no timing feeds into it — so any
-  /// resolved width yields bit-identical mapping results.
+  /// plus mode-dependent proc/link arrays) into a fixed L1/L2 cache budget,
+  /// clamped to [8, 32] (DESIGN.md 12.2). Deterministic — no timing feeds
+  /// into it — so any resolved width yields bit-identical mapping results.
   [[nodiscard]] int resolve_batch_width(int requested, const EvalOptions& options = {}) const;
 
  private:
@@ -338,8 +343,8 @@ class EvalEngine {
   /// run_schedule with a certified early exit (the scalar sibling of the
   /// SoA kernel's cutoff lanes): the moment a finalized end plus the
   /// caller's downstream `potential` (a valid per-task lower bound on any
-  /// schedule's remaining path, e.g. tail0_ or DeltaEval's per-pair
-  /// potential) reaches `cutoff`, scheduling stops and the bound is
+  /// schedule's remaining path, e.g. DeltaTables::tail0 or DeltaEval's
+  /// per-pair potential) reaches `cutoff`, scheduling stops and the bound is
   /// returned with *certified = true (the exact makespan can only be
   /// larger; ws then holds a partial schedule). Otherwise the exact
   /// makespan is returned with *certified = false and ws is fully filled,
@@ -361,37 +366,49 @@ class EvalEngine {
   void soa_schedule(std::span<const std::vector<NodeId>> hosts, SoaWorkspace& ws,
                     std::span<Weight> totals, Weight cutoff) const;
 
+  /// The tables only DeltaEval reads, built together on the first
+  /// begin_delta (delta_tables()).
+  struct DeltaTables {
+    std::vector<std::uint32_t> topo_pos;     // inverse of the topological order
+    std::vector<std::uint32_t> succ_offset;  // CSR mirror of pred_offset_:
+    std::vector<SuccArc> succ_arcs;          // successors of v, edge-insertion order
+    std::vector<std::uint32_t> cluster_arc_offset;  // CSR over clusters:
+    std::vector<ClusterArc> cluster_arcs;           // inter-cluster arcs of cluster c
+    // Sub-CSR of cluster_arcs: within cluster c the arcs are sorted by
+    // (other_cluster, incoming), and group (c, oc, incoming) spans
+    // [cluster_pair_offset[g], cluster_pair_offset[g + 1]) with
+    // g = c * 2 * ns + oc * 2 + incoming. The v2 delta engine selects whole
+    // groups off its distance-change masks instead of filtering arc by arc;
+    // cluster_pair_min_pos[g] is the earliest head position in the group.
+    std::vector<std::uint32_t> cluster_pair_offset;
+    std::vector<std::uint32_t> cluster_pair_min_pos;
+    std::vector<std::uint32_t> cluster_min_pos;  // earliest member topo position
+    // tail0[v]: largest sum of node weights along any v -> sink path,
+    // excluding v itself. Communication costs are nonnegative in every mode,
+    // so end(v) + tail0[v] lower-bounds the makespan of ANY schedule — the
+    // v2 delta engine's verdict potential (a trial whose running end crosses
+    // cutoff - tail0 is certified hopeless long before the cascade tail).
+    std::vector<Weight> tail0;
+    // reach_clusters[v]: bitmask of the clusters of v and all its
+    // ancestors (all-ones when > 64 clusters). In plain mode a task whose
+    // mask excludes both moved clusters provably keeps its committed end —
+    // the v2 verdict probe's untouched-makespan-holder certificate.
+    std::vector<std::uint64_t> reach_clusters;
+  };
+
+  /// The delta tables, built on first call (thread-safe, the same
+  /// call_once idiom as ensure_routing()).
+  const DeltaTables& delta_tables() const;
+  void build_delta_tables() const;
+
   const MappingInstance& instance_;
-  std::vector<NodeId> topo_order_;
-  std::vector<std::uint32_t> topo_pos_;     // inverse of topo_order_
   std::vector<std::uint32_t> pred_offset_;  // CSR: arcs of task v are
   std::vector<PredArc> pred_arcs_;          // pred_arcs_[pred_offset_[v] .. [v+1])
-  std::vector<std::uint32_t> succ_offset_;  // CSR mirror of pred_offset_:
-  std::vector<SuccArc> succ_arcs_;          // successors of v, edge-insertion order
-  std::vector<std::uint32_t> cluster_arc_offset_;  // CSR over clusters:
-  std::vector<ClusterArc> cluster_arcs_;           // inter-cluster arcs of cluster c
-  // Sub-CSR of cluster_arcs_: within cluster c the arcs are sorted by
-  // (other_cluster, incoming), and group (c, oc, incoming) spans
-  // [cluster_pair_offset_[g], cluster_pair_offset_[g + 1]) with
-  // g = c * 2 * ns + oc * 2 + incoming. The v2 delta engine selects whole
-  // groups off its distance-change masks instead of filtering arc by arc;
-  // cluster_pair_min_pos_[g] is the earliest head position in the group.
-  std::vector<std::uint32_t> cluster_pair_offset_;
-  std::vector<std::uint32_t> cluster_pair_min_pos_;
-  std::vector<std::uint32_t> cluster_min_pos_;     // earliest member topo position
   std::vector<NodeId> cluster_of_;
   std::vector<Weight> node_weight_;
-  // tail0_[v]: largest sum of node weights along any v -> sink path,
-  // excluding v itself. Communication costs are nonnegative in every mode,
-  // so end(v) + tail0_[v] lower-bounds the makespan of ANY schedule — the
-  // v2 delta engine's verdict potential (a trial whose running end crosses
-  // cutoff - tail0 is certified hopeless long before the cascade tail).
-  std::vector<Weight> tail0_;
-  // reach_clusters_[v]: bitmask of the clusters of v and all its
-  // ancestors (all-ones when > 64 clusters). In plain mode a task whose
-  // mask excludes both moved clusters provably keeps its committed end —
-  // the v2 verdict probe's untouched-makespan-holder certificate.
-  std::vector<std::uint64_t> reach_clusters_;
+
+  mutable std::once_flag delta_once_;
+  mutable DeltaTables delta_tables_;
 
   // Lazily built contention tables (plain evaluations never pay for them).
   // When shared_tables_ is set (adopt_topology) the pointers alias the
@@ -579,6 +596,7 @@ class DeltaEval {
   void make_link_dirty(std::size_t li, std::int64_t rank, Weight live);
 
   const EvalEngine* engine_;
+  const EvalEngine::DeltaTables* tables_;  // engine_->delta_tables()
   EvalOptions options_;
   DeltaOptions dopt_;
   int version_ = 2;  // resolved engine generation (DeltaOptions::version)

@@ -13,15 +13,13 @@ IdealSchedule compute_ideal_schedule(const MappingInstance& instance) {
   // otherwise) so huge instances never materialize the dense clus_edge.
   const TaskGraph& problem = instance.problem();
   const Clustering& clustering = instance.clustering();
-  const auto order = topological_order(problem);
-  if (!order) throw std::invalid_argument("compute_ideal_schedule: problem graph has a cycle");
 
   const NodeId np = problem.node_count();
   IdealSchedule s;
   s.start.assign(idx(np), 0);
   s.end.assign(idx(np), 0);
 
-  for (const NodeId v : *order) {
+  for (const NodeId v : instance.topo_order()) {
     Weight start = 0;
     for (const auto& [pred, w] : problem.predecessors(v)) {
       const Weight cw = clustering.same_cluster(pred, v) ? 0 : w;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "graph/shortest_paths.hpp"
+#include "graph/topological.hpp"
 
 namespace mimdmap {
 namespace {
@@ -77,7 +78,10 @@ MappingInstance::MappingInstance(TaskGraph problem, Clustering clustering, Syste
 }
 
 void MappingInstance::init_derived() {
-  problem_.validate();
+  // The acyclicity check TaskGraph::validate() runs, keeping the order.
+  auto order = topological_order(problem_);
+  if (!order) throw std::invalid_argument("TaskGraph: cycle detected");
+  topo_order_ = std::move(*order);
   system_.validate();
   if (clustering_.num_tasks() != problem_.node_count()) {
     throw std::invalid_argument("MappingInstance: clustering covers wrong task count");

@@ -7,7 +7,9 @@
 // dense clus_edge[np][np] (Fig. 19-a) lazily — hot paths derive clustered
 // weights from the adjacency lists, so np-scale memory stays O(V + E).
 //
-// Construction validates the paper's structural preconditions:
+// Construction validates the paper's structural preconditions (and keeps
+// the topological order the acyclicity check produces, which every
+// schedule walk reuses):
 //  * the problem graph is a DAG with positive weights,
 //  * the clustering covers exactly the problem's tasks,
 //  * na == ns ("the second step only deals with graphs having the same
@@ -17,6 +19,7 @@
 
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "cluster/abstract_graph.hpp"
 #include "cluster/clustering.hpp"
@@ -45,6 +48,11 @@ class MappingInstance {
   [[nodiscard]] const Clustering& clustering() const noexcept { return clustering_; }
   [[nodiscard]] const SystemGraph& system() const noexcept { return system_; }
   [[nodiscard]] const AbstractGraph& abstract() const noexcept { return abstract_; }
+
+  /// Topological order of the problem graph: Kahn's algorithm, ties by
+  /// node id — exactly topological_order(problem()), computed once at
+  /// construction. The evaluation engine and the ideal schedule walk it.
+  [[nodiscard]] const std::vector<NodeId>& topo_order() const noexcept { return topo_order_; }
 
   /// Clustered-problem-graph edge matrix (paper's clus_edge). Dense
   /// np x np, built lazily on first call (thread-safe) — every hot path
@@ -109,6 +117,7 @@ class MappingInstance {
   Clustering clustering_;
   SystemGraph system_;
   AbstractGraph abstract_;
+  std::vector<NodeId> topo_order_;
   // Lazy clus_edge storage. The mutex lives behind a shared_ptr so the
   // instance stays copyable/movable; copies share the lock but carry their
   // own (possibly already-built) matrix.

@@ -16,12 +16,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <thread>
 
 #include "baseline/annealing.hpp"
 #include "baseline/pairwise.hpp"
 #include "baseline/random_mapping.hpp"
 #include "cluster/strategies.hpp"
+#include "core/mapper.hpp"
 #include "core/refinement.hpp"
 #include "topology/topology.hpp"
 #include "workload/random_dag.hpp"
@@ -405,6 +407,69 @@ TEST(DeltaEvalTest, AnnealingMatchesPreDeltaRuns) {
       // draw clears the certified bound, so the delta evaluator may see
       // more try_* calls than the annealer counts moves.
       EXPECT_GE(now.delta.trials, then.moves_tried) << what;
+    }
+  }
+}
+
+// --- concurrent first use of the delta tables --------------------------------
+
+/// One delta session on `engine`: a stream of swaps from a random start,
+/// each scored against the reference oracle, committing improvements.
+/// Returns the number of totals that disagreed with the oracle.
+int checked_swap_stream(const EvalEngine& engine, const EvalOptions& mode, std::uint64_t seed) {
+  const MappingInstance& inst = engine.instance();
+  const NodeId ns = inst.num_processors();
+  Rng rng(seed);
+  std::vector<NodeId> host = random_assignment(ns, rng).host_of_vector();
+  const auto reference = [&](const std::vector<NodeId>& h) {
+    return evaluate_reference(inst, Assignment::from_host_of(h), mode).total_time;
+  };
+  DeltaEval delta = engine.begin_delta(host, mode);
+  int mismatches = delta.committed_total() == reference(host) ? 0 : 1;
+  for (int op = 0; op < 24; ++op) {
+    const NodeId c1 = static_cast<NodeId>(rng.uniform(0, ns - 1));
+    NodeId c2 = static_cast<NodeId>(rng.uniform(0, ns - 2));
+    if (c2 >= c1) ++c2;
+    std::vector<NodeId> trial = host;
+    std::swap(trial[idx(c1)], trial[idx(c2)]);
+    const Weight got = delta.try_swap(c1, c2);
+    if (got != reference(trial)) ++mismatches;
+    if (got < delta.committed_total()) {
+      delta.commit();
+      host = trial;
+    }
+  }
+  if (delta.committed_total() != reference(host)) ++mismatches;
+  return mismatches;
+}
+
+TEST(DeltaEvalTest, ConcurrentFirstBeginDeltaBuildsTablesOnce) {
+  // The first begin_delta on an engine builds its delta tables. Several
+  // threads start sessions at the same moment — on a fresh engine, and on
+  // one that already ran the flat map_instance pipeline (which never
+  // starts a session, so the tables are still unbuilt) — and every total
+  // must match the oracle. The TSan job runs this suite.
+  Pipeline pl = build_pipeline(90, make_mesh(2, 4), 5);
+  const std::vector<EvalOptions> modes = all_modes();
+  constexpr int kThreads = 4;
+  for (const bool mapped_first : {false, true}) {
+    const EvalEngine engine(pl.instance);
+    if (mapped_first) (void)map_instance(engine, MapperOptions{});
+    std::vector<int> mismatches(kThreads, -1);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        mismatches[static_cast<std::size_t>(t)] = checked_swap_stream(
+            engine, modes[static_cast<std::size_t>(t) % modes.size()],
+            static_cast<std::uint64_t>(100 + t));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0)
+          << "thread " << t << " mapped_first=" << mapped_first;
     }
   }
 }

@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "cluster/strategies.hpp"
 #include "core/cancellation.hpp"
 #include "core/mapper.hpp"
+#include "graph/topological.hpp"
 #include "topology/topology.hpp"
 #include "workload/random_dag.hpp"
 
@@ -85,6 +87,30 @@ TEST(CoarsenTest, HierarchyInvariants) {
 
       fine = &level.graph;
       fine_clustering = &level.clustering;
+    }
+  }
+}
+
+TEST(CoarsenTest, LevelInstancesCarryTheirOwnTopologicalOrder) {
+  // map_multilevel builds a MappingInstance per coarse level, with and
+  // without shared topology tables; each level's engine and ideal
+  // schedule walk that instance's order.
+  const SystemGraph sys = make_hypercube(3);
+  const auto tables = std::make_shared<const TopologyTables>(sys, DistanceModel::kHops);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const TaskGraph g = layered(node_id(300 + 60 * seed), seed + 20);
+    const Clustering c = random_clustering(g, 8, seed);
+    CoarsenOptions opts;
+    opts.target = 32;
+    const CoarseningHierarchy h = coarsen_hierarchy(g, c, opts);
+    ASSERT_FALSE(h.trivial()) << "seed=" << seed;
+    for (std::size_t k = 0; k < h.levels.size(); ++k) {
+      const CoarseLevel& level = h.levels[k];
+      const std::vector<NodeId> want = *topological_order(level.graph);
+      const MappingInstance own(level.graph, level.clustering, sys, DistanceModel::kHops);
+      EXPECT_EQ(own.topo_order(), want) << "seed=" << seed << " k=" << k;
+      const MappingInstance shared(level.graph, level.clustering, sys, tables);
+      EXPECT_EQ(shared.topo_order(), want) << "seed=" << seed << " k=" << k;
     }
   }
 }

@@ -340,17 +340,11 @@ TEST(SoaKernelTest, ResolveBatchWidthHonorsRequestEnvAndFootprint) {
 }
 
 TEST(SoaKernelTest, ResolveBatchWidthKeepsLanesOnHugeInstances) {
-  // Regression: at np >= ~32k one lane's SoA state exceeds the cache
-  // budget, and the auto width used to collapse to 1 — serializing the
-  // refinement waves exactly where parallel lanes matter most. The floor
-  // keeps huge instances on a useful wave width.
-  LayeredDagParams p;
-  p.num_tasks = 40000;
-  p.num_layers = 200;
-  const TaskGraph g = make_layered_dag(p, 21);
-  const MappingInstance inst(g, random_clustering(g, 8, 2), make_hypercube(3));
-  const EvalEngine engine(inst);
-
+  // Regression: once eight lanes' SoA state outgrows the cache budget
+  // (np above ~4k) the quotient used to drop the auto width as low as 1,
+  // and width 1 runs the scalar kernel without the incumbent cutoff. The
+  // floor of 8 holds on both sides of np ~32.7k, where one lane alone
+  // exceeds the budget.
   const char* ambient = std::getenv("MIMDMAP_EVAL_WIDTH");
   const std::string saved = ambient == nullptr ? "" : ambient;
   struct RestoreEnv {
@@ -365,9 +359,18 @@ TEST(SoaKernelTest, ResolveBatchWidthKeepsLanesOnHugeInstances) {
   } restore{&saved};
   unsetenv("MIMDMAP_EVAL_WIDTH");
 
-  EXPECT_GE(engine.resolve_batch_width(0), 8);
-  EXPECT_GE(engine.resolve_batch_width(0, EvalOptions{.link_contention = true}), 8);
-  EXPECT_LE(engine.resolve_batch_width(0), 32);
+  for (const NodeId np : {5000, 20000, 30000, 40000}) {
+    LayeredDagParams p;
+    p.num_tasks = np;
+    p.num_layers = 200;
+    const TaskGraph g = make_layered_dag(p, 21);
+    const MappingInstance inst(g, random_clustering(g, 8, 2), make_hypercube(3));
+    const EvalEngine engine(inst);
+    EXPECT_GE(engine.resolve_batch_width(0), 8) << "np=" << np;
+    EXPECT_GE(engine.resolve_batch_width(0, EvalOptions{.link_contention = true}), 8)
+        << "np=" << np;
+    EXPECT_LE(engine.resolve_batch_width(0), 32) << "np=" << np;
+  }
 }
 
 TEST(SoaKernelTest, RejectsBadArguments) {
