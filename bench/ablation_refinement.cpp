@@ -95,7 +95,7 @@ int main() {
   std::printf("\npaper's claim (random re-place beats pairwise exchange): %s\n",
               diff <= 0.0 ? "holds on these instances" : "does not hold on these instances");
   std::printf("difference is %.1f points — within noise under our generator; the claim is\n"
-              "generator-dependent (see EXPERIMENTS.md). Both trail annealing's larger\n"
+              "generator-dependent (see DESIGN.md section 6). Both trail annealing's larger\n"
               "budget, and both recover only part of the gap left by the initial assignment.\n",
               diff);
   return 0;

@@ -84,6 +84,6 @@ int main() {
   std::printf("reading: 'lb hits' matches the paper's 'reached the lower bound' counts\n"
               "(2/10 hypercube, 7/11 mesh, 4/15 random in the paper — their clustering\n"
               "quality sits between our 'block' and 'edge-zeroing' rows, see\n"
-              "EXPERIMENTS.md); each saved trial is one O(np^2) schedule evaluation.\n");
+              "DESIGN.md section 6); each saved trial is one O(np^2) schedule evaluation.\n");
   return 0;
 }

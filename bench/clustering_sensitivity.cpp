@@ -1,5 +1,5 @@
 // Calibration bench: how clustering quality shapes the paper's headline
-// numbers (EXPERIMENTS.md "calibration note").
+// numbers (DESIGN.md section 6, "Generator calibration").
 //
 // The paper's unpublished "random clustering program" had to be
 // reconstructed; this bench regenerates the evidence. For each clustering
@@ -17,7 +17,7 @@
 using namespace mimdmap;
 
 int main() {
-  std::printf("== Clustering sensitivity (EXPERIMENTS.md calibration) ==\n");
+  std::printf("== Clustering sensitivity (DESIGN.md section 6 calibration) ==\n");
   std::printf("12 instances per row (hypercube-3, mesh-3x3, random-12-10-5; 4 seeds each)\n\n");
 
   TextTable table({"clustering", "ours mean %", "random mean %", "improvement", "lb hits"});

@@ -3,10 +3,14 @@
 // refinement is O(ns * np^2), and the supporting kernels scale accordingly.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
+
 #include "baseline/random_mapping.hpp"
 #include "cluster/strategies.hpp"
 #include "core/eval_engine.hpp"
 #include "core/mapper.hpp"
+#include "graph/graph_io.hpp"
 #include "graph/shortest_paths.hpp"
 #include "topology/topology.hpp"
 #include "workload/random_dag.hpp"
@@ -235,6 +239,20 @@ void BM_AllPairsHops(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_AllPairsHops)->RangeMultiplier(2)->Range(8, 64)->Complexity();
+
+void BM_ParseTaskGraph(benchmark::State& state) {
+  // Problem-file parsing as `map` and `batch` run it on a file already in
+  // memory; layered DAGs shaped like the large-map inputs.
+  LayeredDagParams p;
+  p.num_tasks = static_cast<NodeId>(state.range(0));
+  p.num_layers = std::max<NodeId>(16, p.num_tasks / 400);
+  const std::string text = to_text(make_layered_dag(p, 42));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(task_graph_from_text(text));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseTaskGraph)->Arg(300)->Arg(10000)->Arg(128000)->Unit(benchmark::kMillisecond);
 
 void BM_LayeredDagGeneration(benchmark::State& state) {
   LayeredDagParams p;

@@ -1,7 +1,7 @@
 // Shared configuration for the table-regenerating benches.
 //
-// The paper's generator is unpublished; EXPERIMENTS.md documents the
-// calibration. Summary: problem graphs are layered random DAGs with
+// The paper's generator is unpublished; DESIGN.md section 6 ("Generator
+// calibration") documents the choice. Summary: problem graphs are layered random DAGs with
 // np in [30, 300] and random weights in [1, 10] (exactly the paper's stated
 // ranges); the clustering is a random contiguous partition ("block") —
 // uniform-per-task random clustering produces a dense abstract graph whose

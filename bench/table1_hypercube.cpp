@@ -5,7 +5,7 @@
 // mapping 140-178%, improvements 29-63 points, 2/10 experiments terminated
 // at the lower bound. Absolute values depend on the (unpublished) problem
 // generator; the shape to check is ours << random with occasional
-// lower-bound hits (see EXPERIMENTS.md).
+// lower-bound hits (see DESIGN.md section 6, "Generator calibration").
 #include "suite.hpp"
 
 int main() {

@@ -55,21 +55,13 @@ void emit(Flags& flags, std::ostream& fallback, const std::string& text) {
   file << text;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::invalid_argument("cannot open input file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
 TaskGraph load_problem(Flags& flags) {
-  return task_graph_from_text(slurp(flags.require_string("problem")));
+  return task_graph_from_text(read_file(flags.require_string("problem")));
 }
 
 SystemGraph load_system(Flags& flags) {
   // Either a file (--system path) or a factory spec (--spec).
-  if (flags.has("system")) return system_graph_from_text(slurp(flags.require_string("system")));
+  if (flags.has("system")) return system_graph_from_text(read_file(flags.require_string("system")));
   return make_topology(flags.require_string("spec"));
 }
 
@@ -212,7 +204,7 @@ int cmd_map(Flags& flags, std::ostream& out, std::ostream& err) {
 
   Clustering clustering = [&]() {
     if (flags.has("clustering")) {
-      return clustering_from_text(slurp(flags.require_string("clustering")));
+      return clustering_from_text(read_file(flags.require_string("clustering")));
     }
     return make_clustering(flags.get_string("strategy", "block"), problem,
                            machine.node_count(), flags.get_seed("seed", 1));
@@ -323,7 +315,7 @@ int cmd_map(Flags& flags, std::ostream& out, std::ostream& err) {
 int cmd_eval(Flags& flags, std::ostream& out, std::ostream& err) {
   TaskGraph problem = load_problem(flags);
   SystemGraph machine = load_system(flags);
-  Clustering clustering = clustering_from_text(slurp(flags.require_string("clustering")));
+  Clustering clustering = clustering_from_text(read_file(flags.require_string("clustering")));
   const std::vector<NodeId> cluster_on = parse_id_list(flags.require_string("assignment"));
 
   const MappingInstance instance(std::move(problem), std::move(clustering),
@@ -401,7 +393,7 @@ int cmd_batch(Flags& flags, std::ostream& out, std::ostream& err) {
   // matrix + routing) come from one shared cache: repeated machines cost
   // one build, and every job's engine adopts the shared routing instead of
   // rebuilding it.
-  const std::vector<ManifestJobSpec> specs = parse_manifest(slurp(manifest_path));
+  const std::vector<ManifestJobSpec> specs = parse_manifest(read_file(manifest_path));
   if (specs.empty()) throw std::invalid_argument("manifest has no jobs");
   TopologyCache topo_cache;
   std::deque<MappingInstance> instances;
@@ -414,12 +406,12 @@ int cmd_batch(Flags& flags, std::ostream& out, std::ostream& err) {
       return it == kv.end() ? fallback : it->second;
     };
 
-    TaskGraph problem = task_graph_from_text(slurp(kv.at("problem")));
-    SystemGraph machine = kv.count("system") ? system_graph_from_text(slurp(kv.at("system")))
+    TaskGraph problem = task_graph_from_text(read_file(kv.at("problem")));
+    SystemGraph machine = kv.count("system") ? system_graph_from_text(read_file(kv.at("system")))
                                              : make_topology(kv.at("spec"));
     Clustering clustering =
         kv.count("clustering")
-            ? clustering_from_text(slurp(kv.at("clustering")))
+            ? clustering_from_text(read_file(kv.at("clustering")))
             : make_clustering(get("strategy", "block"), problem, machine.node_count(),
                               manifest_seed(kv, "seed", 1, line_no));
     const DistanceModel model = manifest_bool(kv, "weighted-links")
@@ -755,7 +747,7 @@ int cmd_client(Flags& flags, std::ostream& out, std::ostream& err) {
   if (!request.empty()) {
     lines.push_back(request);
   } else {
-    std::istringstream file(slurp(manifest_path));
+    std::istringstream file(read_file(manifest_path));
     std::string line;
     while (std::getline(file, line)) {
       const std::size_t start = line.find_first_not_of(" \t\r");

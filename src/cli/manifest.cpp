@@ -1,5 +1,8 @@
 #include "cli/manifest.hpp"
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -117,6 +120,22 @@ std::vector<ManifestJobSpec> parse_manifest(const std::string& text) {
     specs.push_back(std::move(spec));
   }
   return specs;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::invalid_argument("cannot open input file '" + path + "'");
+  std::string text;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec && size > 0) {
+    text.resize(static_cast<std::size_t>(size));
+    text.resize(static_cast<std::size_t>(
+        file.rdbuf()->sgetn(text.data(), static_cast<std::streamsize>(size))));
+  }
+  // Whatever the size did not cover: pipes, directories, a growing file.
+  text.append(std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>());
+  return text;
 }
 
 }  // namespace mimdmap::cli

@@ -49,6 +49,12 @@ struct ManifestJobSpec {
                                         const std::string& key, std::int64_t fallback,
                                         int line_no);
 
+/// The whole file at `path`: a manifest, or a problem=, system= or
+/// clustering= input it names. Regular files are read in one call into a
+/// string sized from the file size. Throws std::invalid_argument when the
+/// file cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path);
+
 /// Bare key or any value other than "0"/"false" means true.
 [[nodiscard]] bool manifest_bool(const std::map<std::string, std::string>& kv,
                                  const std::string& key);

@@ -1,27 +1,17 @@
 #include "cluster/cluster_io.hpp"
 
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "graph/text_scan.hpp"
 
 namespace mimdmap {
 namespace {
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw std::invalid_argument("cluster_io: line " + std::to_string(line) + ": " + what);
-}
-
-bool next_line(std::istream& is, std::string& out, std::size_t& line_no) {
-  while (std::getline(is, out)) {
-    ++line_no;
-    const auto first = out.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (out[first] == '#') continue;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -39,35 +29,30 @@ std::string to_text(const Clustering& clustering) {
   return os.str();
 }
 
-Clustering read_clustering(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no)) fail(line_no, "empty input");
-  std::istringstream header(line);
-  std::string tag;
+Clustering clustering_from_text(std::string_view text) {
+  detail::TextScanner in(text);
+  if (!in.next_line()) fail(in.line_no(), "empty input");
+  std::string_view tag;
   NodeId np = 0;
   NodeId na = 0;
-  if (!(header >> tag >> np >> na) || tag != "clustering" || np < 0 || na < 0) {
-    fail(line_no, "expected 'clustering <np> <na>'");
+  if (!(in.word(tag) && in.integer(np) && in.integer(na)) || tag != "clustering" || np < 0 ||
+      na < 0) {
+    fail(in.line_no(), "expected 'clustering <np> <na>'");
   }
-  std::vector<NodeId> cluster_of(idx(np), -1);
-  for (NodeId expected = 0; expected < np; ++expected) {
-    if (!next_line(is, line, line_no)) fail(line_no, "unexpected EOF in task list");
-    std::istringstream ls(line);
+  std::vector<NodeId> cluster_of;
+  while (node_id(cluster_of.size()) < np) {
+    if (!in.next_line()) fail(in.line_no(), "unexpected EOF in task list");
     NodeId id = 0;
     NodeId cluster = 0;
-    if (!(ls >> tag >> id >> cluster) || tag != "task") {
-      fail(line_no, "expected 'task <id> <cluster>'");
+    if (!(in.word(tag) && in.integer(id) && in.integer(cluster)) || tag != "task") {
+      fail(in.line_no(), "expected 'task <id> <cluster>'");
     }
-    if (id != expected) fail(line_no, "task ids must be consecutive from 0");
-    cluster_of[idx(id)] = cluster;
+    if (id != node_id(cluster_of.size())) fail(in.line_no(), "task ids must be consecutive from 0");
+    cluster_of.push_back(cluster);
   }
   return Clustering(std::move(cluster_of), na);  // validates cluster ranges
 }
 
-Clustering clustering_from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_clustering(is);
-}
+Clustering read_clustering(std::istream& is) { return clustering_from_text(detail::read_all(is)); }
 
 }  // namespace mimdmap

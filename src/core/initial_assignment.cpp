@@ -1,9 +1,70 @@
 #include "core/initial_assignment.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace mimdmap {
 namespace {
+
+/// Unplaced clusters ranked by a fixed key: larger key first, ties toward
+/// the smaller id. A binary heap, so each push and pop is O(log ns).
+class RankedClusters {
+ public:
+  explicit RankedClusters(const std::vector<Weight>& key) : below_{&key} {}
+
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+
+  void push(NodeId a) {
+    heap_.push_back(a);
+    std::push_heap(heap_.begin(), heap_.end(), below_);
+  }
+
+  NodeId pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), below_);
+    const NodeId a = heap_.back();
+    heap_.pop_back();
+    return a;
+  }
+
+  /// `ids` in rank order.
+  void sort(std::vector<NodeId>& ids) const {
+    std::sort(ids.begin(), ids.end(), [this](NodeId x, NodeId y) { return below_(y, x); });
+  }
+
+ private:
+  struct Below {
+    const std::vector<Weight>* key;
+    /// True when x ranks below y.
+    bool operator()(NodeId x, NodeId y) const {
+      const Weight kx = (*key)[idx(x)];
+      const Weight ky = (*key)[idx(y)];
+      return kx < ky || (kx == ky && x > y);
+    }
+  };
+
+  Below below_;
+  std::vector<NodeId> heap_;
+};
+
+/// The heaviest edge from an unplaced cluster to a placed one, ties toward
+/// the smaller placed id. Kept up to date as clusters are placed, as in
+/// Prim's algorithm, instead of rescanning every placed cluster.
+struct Anchor {
+  NodeId cluster = Assignment::kUnassigned;
+  Weight weight = 0;
+
+  /// Offers placed cluster `b` over an edge of weight `w`; true when it
+  /// gives the first anchor.
+  bool offer(NodeId b, Weight w) {
+    if (w <= 0) return false;
+    const bool first = cluster == Assignment::kUnassigned;
+    if (w > weight || (w == weight && b < cluster)) {
+      cluster = b;
+      weight = w;
+    }
+    return first;
+  }
+};
 
 /// Bundles the bookkeeping shared by the three steps.
 class Builder {
@@ -15,7 +76,11 @@ class Builder {
         assignment_(Assignment::partial(n_)),
         visited_abs_(idx(n_), false),
         visited_sys_(idx(n_), false),
-        pinned_(idx(n_), false) {}
+        pinned_(idx(n_), false),
+        critical_anchor_(idx(n_)),
+        traffic_anchor_(idx(n_)),
+        critical_ready_(critical.critical_degree),
+        traffic_ready_(instance.abstract().mca_vector()) {}
 
   InitialAssignmentResult run() {
     seed();
@@ -87,10 +152,27 @@ class Builder {
     return adjacent;
   }
 
+  /// Places `cluster` and offers it as an anchor to its unplaced abstract
+  /// neighbours, in O(degree). Critical abstract edges are abstract edges
+  /// (a critical edge is a clustered edge of positive weight), so the
+  /// neighbour list covers both kinds of anchor. Steps 2 and 3 draw from
+  /// disjoint pools, positive critical degree or not, so each cluster
+  /// needs only its own step's anchor. It joins that step's heap with its
+  /// first anchor and stays unplaced until popped.
   void place(NodeId cluster, NodeId processor) {
     assignment_.place(cluster, processor);
     visited_abs_[idx(cluster)] = true;
     visited_sys_[idx(processor)] = true;
+    const AbstractGraph& abs = instance_.abstract();
+    const auto critical_row = critical_.c_abs_edge.row(idx(cluster));  // symmetric
+    for (const NodeId a : abs.neighbors(cluster)) {
+      if (visited_abs_[idx(a)]) continue;
+      if (critical_.critical_degree[idx(a)] > 0) {
+        if (critical_anchor_[idx(a)].offer(cluster, critical_row[idx(a)])) critical_ready_.push(a);
+      } else if (traffic_anchor_[idx(a)].offer(cluster, abs.edge_traffic(a, cluster))) {
+        traffic_ready_.push(a);
+      }
+    }
   }
 
   // ---- the three steps ----
@@ -113,103 +195,41 @@ class Builder {
 
   /// Step 2: place every abstract node that has critical abstract edges.
   void grow_critical() {
-    while (true) {
-      // Candidate pool: unvisited nodes with a positive critical degree.
-      bool any_left = false;
-      NodeId best = Assignment::kUnassigned;   // max critical degree w/ anchor
-      NodeId best_anchor = Assignment::kUnassigned;
-      NodeId orphan = Assignment::kUnassigned;  // max critical degree w/o anchor
-      for (NodeId a = 0; a < n_; ++a) {
-        if (visited_abs_[idx(a)] || critical_.critical_degree[idx(a)] <= 0) continue;
-        any_left = true;
-        const NodeId anchor = critical_anchor(a);
-        if (anchor != Assignment::kUnassigned) {
-          if (best == Assignment::kUnassigned ||
-              critical_.critical_degree[idx(a)] > critical_.critical_degree[idx(best)]) {
-            best = a;
-            best_anchor = anchor;
-          }
-        } else if (orphan == Assignment::kUnassigned ||
-                   critical_.critical_degree[idx(a)] > critical_.critical_degree[idx(orphan)]) {
-          orphan = a;
-        }
-      }
-      if (!any_left) return;
-
-      if (best != Assignment::kUnassigned) {
-        // Steps 2a/2b/2c.
-        const bool adjacent = place_anchored(best, best_anchor);
-        if (adjacent) pinned_[idx(best)] = true;
-      } else {
-        // Fallback (disconnected critical subgraph): seed a new region.
-        place(orphan, best_free_processor());
-        pinned_[idx(orphan)] = true;
-      }
+    std::vector<NodeId> pool;
+    for (NodeId a = 0; a < n_; ++a) {
+      if (critical_.critical_degree[idx(a)] > 0) pool.push_back(a);
     }
-  }
-
-  /// Placed cluster connected to `a` through a critical abstract edge;
-  /// prefers the heaviest such edge. kUnassigned when none exists.
-  NodeId critical_anchor(NodeId a) const {
-    NodeId anchor = Assignment::kUnassigned;
-    Weight best_w = 0;
-    for (NodeId b = 0; b < n_; ++b) {
-      if (!visited_abs_[idx(b)]) continue;
-      const Weight w = critical_.c_abs_edge(idx(a), idx(b));
-      if (w > best_w) {
-        best_w = w;
-        anchor = b;
-      }
-    }
-    return anchor;
+    grow(critical_ready_, critical_anchor_, std::move(pool), /*pin=*/true);
   }
 
   /// Step 3: place the remaining abstract nodes by communication intensity.
   void grow_remainder() {
-    const AbstractGraph& abs = instance_.abstract();
-    while (true) {
-      bool any_left = false;
-      NodeId best = Assignment::kUnassigned;
-      NodeId best_anchor = Assignment::kUnassigned;
-      NodeId orphan = Assignment::kUnassigned;
-      for (NodeId a = 0; a < n_; ++a) {
-        if (visited_abs_[idx(a)]) continue;
-        any_left = true;
-        const NodeId anchor = traffic_anchor(a);
-        if (anchor != Assignment::kUnassigned) {
-          if (best == Assignment::kUnassigned || abs.mca(a) > abs.mca(best)) {
-            best = a;
-            best_anchor = anchor;
-          }
-        } else if (orphan == Assignment::kUnassigned || abs.mca(a) > abs.mca(orphan)) {
-          orphan = a;
-        }
-      }
-      if (!any_left) return;
-
-      if (best != Assignment::kUnassigned) {
-        place_anchored(best, best_anchor);  // steps 3a/3b/3c; never pins
-      } else {
-        // Fallback (abstract graph disconnected): new region.
-        place(orphan, best_free_processor());
-      }
-    }
+    std::vector<NodeId> pool(idx(n_));
+    for (NodeId a = 0; a < n_; ++a) pool[idx(a)] = a;
+    grow(traffic_ready_, traffic_anchor_, std::move(pool), /*pin=*/false);
   }
 
-  /// Placed cluster connected to `a` through the heaviest abstract edge.
-  NodeId traffic_anchor(NodeId a) const {
-    const AbstractGraph& abs = instance_.abstract();
-    NodeId anchor = Assignment::kUnassigned;
-    Weight best_w = 0;
-    for (const NodeId b : abs.neighbors(a)) {
-      if (!visited_abs_[idx(b)]) continue;
-      const Weight w = abs.edge_traffic(a, b);
-      if (w > best_w || (w == best_w && anchor != Assignment::kUnassigned && b < anchor)) {
-        best_w = w;
-        anchor = b;
+  /// Places every cluster of `pool`: the best-ranked one with an anchor
+  /// next to its anchor (steps 2a-2c / 3a-3c, pinned in step 2 when it
+  /// lands adjacent). When none has an anchor (disconnected critical
+  /// subgraph or abstract graph), the best-ranked one seeds a new region.
+  void grow(RankedClusters& ready, const std::vector<Anchor>& anchors, std::vector<NodeId> pool,
+            bool pin) {
+    ready.sort(pool);
+    std::size_t next = 0;
+    while (true) {
+      if (!ready.empty()) {
+        const NodeId best = ready.pop();
+        const bool adjacent = place_anchored(best, anchors[idx(best)].cluster);
+        if (pin && adjacent) pinned_[idx(best)] = true;
+        continue;
       }
+      while (next < pool.size() && visited_abs_[idx(pool[next])]) ++next;
+      if (next == pool.size()) return;
+      const NodeId orphan = pool[next];
+      place(orphan, best_free_processor());
+      if (pin) pinned_[idx(orphan)] = true;
     }
-    return anchor;
   }
 
   const MappingInstance& instance_;
@@ -219,6 +239,10 @@ class Builder {
   std::vector<bool> visited_abs_;
   std::vector<bool> visited_sys_;
   std::vector<bool> pinned_;
+  std::vector<Anchor> critical_anchor_;  // over critical abstract edges
+  std::vector<Anchor> traffic_anchor_;   // over abstract edges
+  RankedClusters critical_ready_;        // step 2 pool with an anchor, by critical degree
+  RankedClusters traffic_ready_;         // step 3 pool with an anchor, by mca
 };
 
 }  // namespace

@@ -36,8 +36,6 @@ MappingReport detail::map_flat(const EvalEngine& engine, const MapperOptions& op
   const InitialAssignmentResult initial = initial_assignment(instance, report.critical);
   report.initial_assignment = initial.assignment;
   report.pinned = initial.pinned;
-  report.initial_total =
-      engine.evaluate(initial.assignment, options.refine.eval).total_time;
   initial_span.end();
 
   // Stage boundary: a signal that lands before refinement starts skips it
@@ -47,6 +45,7 @@ MappingReport detail::map_flat(const EvalEngine& engine, const MapperOptions& op
   if (options.refine.cancel.signalled()) {
     report.assignment = initial.assignment;
     report.schedule = engine.evaluate(initial.assignment, options.refine.eval);
+    report.initial_total = report.schedule.total_time;
     report.reached_lower_bound = report.schedule.total_time == report.lower_bound;
     report.status = options.refine.cancel.status();
     report.eval_width =
@@ -55,7 +54,9 @@ MappingReport detail::map_flat(const EvalEngine& engine, const MapperOptions& op
   }
 
   const obs::Span refine_span("refine", "mapper");
+  // refine scores the initial assignment first; its total is the report's.
   const RefineResult refined = refine(engine, report.ideal, initial, options.refine);
+  report.initial_total = refined.initial_total;
   report.assignment = refined.assignment;
   report.schedule = refined.schedule;
   report.reached_lower_bound = refined.reached_lower_bound;

@@ -1,9 +1,11 @@
 #include "graph/graph_io.hpp"
 
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "graph/text_scan.hpp"
 
 namespace mimdmap {
 namespace {
@@ -12,16 +14,13 @@ namespace {
   throw std::invalid_argument("graph_io: line " + std::to_string(line) + ": " + what);
 }
 
-/// Reads one significant (non-empty, non-comment) line; returns false on EOF.
-bool next_line(std::istream& is, std::string& out, std::size_t& line_no) {
-  while (std::getline(is, out)) {
-    ++line_no;
-    const auto first = out.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (out[first] == '#') continue;
-    return true;
-  }
-  return false;
+/// A format error at `line`, reported only after TaskGraph has checked the
+/// weights and edges read before it: an error TaskGraph raises for an
+/// earlier line comes first in the input, so it is the one thrown.
+[[noreturn]] void fail_after(std::vector<Weight>& weights, std::vector<TaskEdge>& edges,
+                             std::size_t line, const std::string& what) {
+  (void)TaskGraph(std::move(weights), std::move(edges));
+  fail(line, what);
 }
 
 }  // namespace
@@ -83,76 +82,67 @@ std::string to_text(const SystemGraph& g) {
   return os.str();
 }
 
-TaskGraph read_task_graph(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no)) fail(line_no, "empty input");
-  std::istringstream header(line);
-  std::string tag;
+TaskGraph task_graph_from_text(std::string_view text) {
+  detail::TextScanner in(text);
+  if (!in.next_line()) fail(in.line_no(), "empty input");
+  std::string_view tag;
   NodeId n = 0;
-  if (!(header >> tag >> n) || tag != "taskgraph" || n < 0) {
-    fail(line_no, "expected 'taskgraph <np>'");
+  if (!(in.word(tag) && in.integer(n)) || tag != "taskgraph" || n < 0) {
+    fail(in.line_no(), "expected 'taskgraph <np>'");
   }
-  TaskGraph g(n);
-  NodeId nodes_seen = 0;
-  while (nodes_seen < n) {
-    if (!next_line(is, line, line_no)) fail(line_no, "unexpected EOF in node list");
-    std::istringstream ls(line);
+  std::vector<Weight> weights;
+  std::vector<TaskEdge> edges;
+  while (node_id(weights.size()) < n) {
+    if (!in.next_line()) fail_after(weights, edges, in.line_no(), "unexpected EOF in node list");
     NodeId id = 0;
     Weight w = 0;
-    if (!(ls >> tag >> id >> w) || tag != "node") fail(line_no, "expected 'node <id> <weight>'");
-    if (id != nodes_seen) fail(line_no, "node ids must be consecutive from 0");
-    g.set_node_weight(id, w);
-    ++nodes_seen;
-  }
-  while (next_line(is, line, line_no)) {
-    std::istringstream ls(line);
-    NodeId from = 0;
-    NodeId to = 0;
-    Weight w = 0;
-    if (!(ls >> tag >> from >> to >> w) || tag != "edge") {
-      fail(line_no, "expected 'edge <from> <to> <weight>'");
+    if (!(in.word(tag) && in.integer(id) && in.integer(w)) || tag != "node") {
+      fail_after(weights, edges, in.line_no(), "expected 'node <id> <weight>'");
     }
-    g.add_edge(from, to, w);
+    if (id != node_id(weights.size())) {
+      fail_after(weights, edges, in.line_no(), "node ids must be consecutive from 0");
+    }
+    weights.push_back(w);
   }
+  while (in.next_line()) {
+    TaskEdge e;
+    if (!(in.word(tag) && in.integer(e.from) && in.integer(e.to) && in.integer(e.weight)) ||
+        tag != "edge") {
+      fail_after(weights, edges, in.line_no(), "expected 'edge <from> <to> <weight>'");
+    }
+    edges.push_back(e);
+  }
+  TaskGraph g(std::move(weights), std::move(edges));
   g.validate();
   return g;
 }
 
-SystemGraph read_system_graph(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no)) fail(line_no, "empty input");
-  std::istringstream header(line);
-  std::string tag;
-  std::string name;
+SystemGraph system_graph_from_text(std::string_view text) {
+  detail::TextScanner in(text);
+  if (!in.next_line()) fail(in.line_no(), "empty input");
+  std::string_view tag;
   NodeId n = 0;
-  if (!(header >> tag >> n) || tag != "systemgraph" || n < 0) {
-    fail(line_no, "expected 'systemgraph <ns> [name]'");
+  if (!(in.word(tag) && in.integer(n)) || tag != "systemgraph" || n < 0) {
+    fail(in.line_no(), "expected 'systemgraph <ns> [name]'");
   }
-  if (!(header >> name)) name = "custom";
-  SystemGraph g(n, name);
-  while (next_line(is, line, line_no)) {
-    std::istringstream ls(line);
+  std::string_view name;
+  SystemGraph g(n, in.word(name) ? std::string(name) : std::string("custom"));
+  while (in.next_line()) {
     NodeId a = 0;
     NodeId b = 0;
     Weight w = 0;
-    if (!(ls >> tag >> a >> b >> w) || tag != "link") {
-      fail(line_no, "expected 'link <a> <b> <weight>'");
+    if (!(in.word(tag) && in.integer(a) && in.integer(b) && in.integer(w)) || tag != "link") {
+      fail(in.line_no(), "expected 'link <a> <b> <weight>'");
     }
     g.add_link(a, b, w);
   }
   return g;
 }
 
-TaskGraph task_graph_from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_task_graph(is);
-}
+TaskGraph read_task_graph(std::istream& is) { return task_graph_from_text(detail::read_all(is)); }
 
-SystemGraph system_graph_from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_system_graph(is);
+SystemGraph read_system_graph(std::istream& is) {
+  return system_graph_from_text(detail::read_all(is));
 }
 
 }  // namespace mimdmap

@@ -16,6 +16,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "graph/system_graph.hpp"
 #include "graph/task_graph.hpp"
@@ -35,12 +36,16 @@ void write_text(std::ostream& os, const SystemGraph& g);
 [[nodiscard]] std::string to_text(const TaskGraph& g);
 [[nodiscard]] std::string to_text(const SystemGraph& g);
 
-/// Parses the text format; throws std::invalid_argument with a line number
-/// on malformed input.
+/// Parses the text format in one pass over the buffer (graph/text_scan.hpp
+/// gives the accepted language). Malformed lines throw
+/// std::invalid_argument with a line number; a bad weight, endpoint,
+/// self loop or duplicate throws what TaskGraph::add_edge or
+/// SystemGraph::add_link would. Either way the exception names the first
+/// offending line. The stream overloads read the whole stream first.
+[[nodiscard]] TaskGraph task_graph_from_text(std::string_view text);
+[[nodiscard]] SystemGraph system_graph_from_text(std::string_view text);
+
 [[nodiscard]] TaskGraph read_task_graph(std::istream& is);
 [[nodiscard]] SystemGraph read_system_graph(std::istream& is);
-
-[[nodiscard]] TaskGraph task_graph_from_text(const std::string& text);
-[[nodiscard]] SystemGraph system_graph_from_text(const std::string& text);
 
 }  // namespace mimdmap

@@ -39,6 +39,13 @@ class TaskGraph {
   /// Creates `n` tasks, all with weight 1.
   explicit TaskGraph(NodeId n);
 
+  /// Tasks with the given execution times and the given edges, in order:
+  /// the graph add_node and add_edge calls would build, and the exception
+  /// they would throw for the first bad weight or edge, in O(V + E). Every
+  /// adjacency list is sized once, and duplicates are found with a
+  /// per-source stamp instead of add_edge's scan of the out-list.
+  TaskGraph(std::vector<Weight> weights, std::vector<TaskEdge> edges);
+
   [[nodiscard]] NodeId node_count() const noexcept { return node_id(weights_.size()); }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
 
@@ -95,6 +102,8 @@ class TaskGraph {
 
  private:
   void check_node(NodeId v) const;
+  /// add_edge's checks short of the duplicate test.
+  void check_edge(NodeId from, NodeId to, Weight w) const;
 
   std::vector<Weight> weights_;
   std::vector<std::vector<std::pair<NodeId, Weight>>> out_;

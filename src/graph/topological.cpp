@@ -31,7 +31,27 @@ std::optional<std::vector<NodeId>> topological_order(const TaskGraph& g) {
   return order;
 }
 
-bool is_dag(const TaskGraph& g) { return topological_order(g).has_value(); }
+bool is_dag(const TaskGraph& g) {
+  // Kahn's algorithm without the order: any ready node will do, so a
+  // stack replaces topological_order's min-heap.
+  const NodeId n = g.node_count();
+  std::vector<NodeId> indeg(idx(n), 0);
+  std::vector<NodeId> ready;
+  for (NodeId v = 0; v < n; ++v) {
+    indeg[idx(v)] = g.in_degree(v);
+    if (indeg[idx(v)] == 0) ready.push_back(v);
+  }
+  NodeId removed = 0;
+  while (!ready.empty()) {
+    const NodeId v = ready.back();
+    ready.pop_back();
+    ++removed;
+    for (const auto& [succ, w] : g.successors(v)) {
+      if (--indeg[idx(succ)] == 0) ready.push_back(succ);
+    }
+  }
+  return removed == n;
+}
 
 std::vector<NodeId> topological_levels(const TaskGraph& g) {
   const auto order = topological_order(g);

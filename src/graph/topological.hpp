@@ -19,7 +19,8 @@ namespace mimdmap {
 /// id so the order is deterministic). Returns std::nullopt on a cycle.
 [[nodiscard]] std::optional<std::vector<NodeId>> topological_order(const TaskGraph& g);
 
-/// True iff the graph is acyclic.
+/// True iff the graph is acyclic. O(V + E), with no heap: cheaper than
+/// asking topological_order.
 [[nodiscard]] bool is_dag(const TaskGraph& g);
 
 /// Topological level of each node: sources have level 0, every other node

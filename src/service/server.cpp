@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -80,17 +79,9 @@ ServerMetrics& server_metrics() {
   return metrics;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::invalid_argument("cannot open input file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
 TaskGraph build_problem(const std::map<std::string, std::string>& kv) {
   const auto gen_it = kv.find("gen");
-  if (gen_it == kv.end()) return task_graph_from_text(slurp(kv.at("problem")));
+  if (gen_it == kv.end()) return task_graph_from_text(cli::read_file(kv.at("problem")));
   const auto a = static_cast<NodeId>(cli::manifest_seed(kv, "gen-a", 4, 0));
   const auto b = static_cast<NodeId>(cli::manifest_seed(kv, "gen-b", 4, 0));
   const std::uint64_t seed = cli::manifest_seed(kv, "gen-seed", 1, 0);
@@ -116,7 +107,7 @@ TaskGraph build_problem(const std::map<std::string, std::string>& kv) {
 MappingInstance build_instance(const std::map<std::string, std::string>& kv,
                                TopologyCache& topo_cache) {
   TaskGraph problem = build_problem(kv);
-  SystemGraph machine = kv.count("system") ? system_graph_from_text(slurp(kv.at("system")))
+  SystemGraph machine = kv.count("system") ? system_graph_from_text(cli::read_file(kv.at("system")))
                                            : make_topology(kv.at("spec"));
   const auto get = [&](const std::string& key, const std::string& fallback) {
     const auto it = kv.find(key);
@@ -124,7 +115,7 @@ MappingInstance build_instance(const std::map<std::string, std::string>& kv,
   };
   Clustering clustering =
       kv.count("clustering")
-          ? clustering_from_text(slurp(kv.at("clustering")))
+          ? clustering_from_text(cli::read_file(kv.at("clustering")))
           : make_clustering(get("strategy", "block"), problem, machine.node_count(),
                             cli::manifest_seed(kv, "seed", 1, 0));
   const DistanceModel model = cli::manifest_bool(kv, "weighted-links")
@@ -302,24 +293,16 @@ void MapServer::accept_main() {
       if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
       break;
     }
-    if (draining_.load(std::memory_order_acquire)) {
+    auto conn = std::make_shared<Connection>();
+    conn->read_fd = fd;
+    conn->write_fd = fd;
+    conn->owns_fd = true;
+    if (!register_connection(conn, /*spawn_reader=*/true)) {
       // Drain raced the accept: one answer, never served.
       const std::string frame = overloaded_frame("-", -1);
       (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
       break;
-    }
-    auto conn = std::make_shared<Connection>();
-    conn->read_fd = fd;
-    conn->write_fd = fd;
-    conn->owns_fd = true;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      conn->client_id = next_client_id_++;
-      connections_.push_back(conn);
-      ++stats_.connections_opened;
-      server_metrics().connections.inc();
-      threads_.emplace_back([this, conn] { connection_main(conn); });
     }
     log_line("client " + std::to_string(conn->client_id) + " connected");
   }
@@ -329,15 +312,28 @@ void MapServer::serve_fd(int read_fd, int write_fd) {
   auto conn = std::make_shared<Connection>();
   conn->read_fd = read_fd;
   conn->write_fd = write_fd;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    conn->client_id = next_client_id_++;
-    connections_.push_back(conn);
-    ++stats_.connections_opened;
-    server_metrics().connections.inc();
+  if (!register_connection(conn, /*spawn_reader=*/false)) {
+    // Drain began first: the session ends as a drained one would.
+    (void)conn->write_frame(bye_frame(0, 0));
+    return;
   }
   log_line("client " + std::to_string(conn->client_id) + " connected (fd pair)");
   connection_main(conn);
+}
+
+bool MapServer::register_connection(const std::shared_ptr<Connection>& conn, bool spawn_reader) {
+  // drain_main snapshots connections_ (and threads_) under mutex_, and
+  // draining_ is set before the drainer starts. Checking it under the
+  // same lock means a connection is either in the snapshot, and gets its
+  // bye, or turned away here; never left polling after the drain.
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (draining_.load(std::memory_order_acquire)) return false;
+  conn->client_id = next_client_id_++;
+  connections_.push_back(conn);
+  ++stats_.connections_opened;
+  server_metrics().connections.inc();
+  if (spawn_reader) threads_.emplace_back([this, conn] { connection_main(conn); });
+  return true;
 }
 
 void MapServer::connection_main(const std::shared_ptr<Connection>& conn) {

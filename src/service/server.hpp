@@ -168,6 +168,9 @@ class MapServer {
   };
 
   void accept_main();
+  /// Adds `conn` to the served set (starting its reader thread when
+  /// `spawn_reader`); false, with nothing registered, once a drain has begun.
+  bool register_connection(const std::shared_ptr<Connection>& conn, bool spawn_reader);
   /// Reader loop of one connection; returns when the peer closes, read
   /// fails, or the server drains.
   void connection_main(const std::shared_ptr<Connection>& conn);

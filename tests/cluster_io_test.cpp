@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+
 namespace mimdmap {
 namespace {
 
@@ -44,6 +47,22 @@ TEST(ClusterIoTest, RejectsTruncatedInput) {
 
 TEST(ClusterIoTest, RejectsOutOfRangeCluster) {
   EXPECT_THROW(clustering_from_text("clustering 1 2\ntask 0 5\n"), std::invalid_argument);
+}
+
+TEST(ClusterIoTest, HeaderCountIsNotSizedBeforeItsLines) {
+  // Allocating the promised two billion tasks up front would take 8 GB.
+  try {
+    (void)clustering_from_text("clustering 2000000000 2\ntask 0 0\n");
+    FAIL() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "cluster_io: line 2: unexpected EOF in task list");
+  }
+}
+
+TEST(ClusterIoTest, StreamReaderMatchesTextParser) {
+  const Clustering original({1, 0, 1}, 2);
+  std::istringstream text(to_text(original));
+  EXPECT_EQ(read_clustering(text).cluster_map(), original.cluster_map());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Robustness fuzzing for the text parsers: random mutations of valid
 // inputs must either parse into a valid object or throw
-// std::invalid_argument — never crash, hang or corrupt memory.
+// std::invalid_argument — never crash, hang or corrupt memory. The graph
+// and clustering parsers are also fuzzed against their pre-scanner
+// versions, which must agree on every input (end of file).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,15 +11,19 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "cli/manifest.hpp"
+#include "reference_parsers.hpp"
 #include "service/journal.hpp"
 #include "cluster/cluster_io.hpp"
 #include "graph/graph_io.hpp"
 #include "service/wire.hpp"
+#include "topology/factory.hpp"
 #include "topology/topology.hpp"
 #include "workload/random_dag.hpp"
 #include "workload/rng.hpp"
@@ -407,6 +413,176 @@ TEST(FuzzParserTest, GarbageInputsRejectedCleanly) {
                            "clustering 1", "\0x01\x02", "taskgraph 999999999999999999999"}) {
     EXPECT_THROW((void)task_graph_from_text(junk), std::invalid_argument) << junk;
   }
+}
+
+// ---- differential fuzz against the pre-scanner parsers ---------------------
+//
+// The one-pass scanner must accept the same language and raise the same
+// errors as the getline + istringstream parsers it replaced
+// (tests/reference_parsers.hpp): on every input, an equal object, or the
+// same exception type and message.
+
+/// Character edits over an alphabet that reaches every rule of the scanner
+/// (both signs, the whole isspace set, '.', '#'), plus copies of whole
+/// lines so that duplicate edges and out-of-order lines turn up.
+std::string mutate_text(const std::string& text, Rng& rng, int count) {
+  static const std::string alphabet = "0123456789 \n\t\r\v\f+-.#x";
+  std::string out = text;
+  const auto pick = [&rng](std::size_t size) {
+    return static_cast<std::size_t>(rng.uniform(0, static_cast<std::int64_t>(size) - 1));
+  };
+  const auto line_start = [&out](std::size_t pos) {
+    const std::size_t nl = pos == 0 ? std::string::npos : out.rfind('\n', pos - 1);
+    return nl == std::string::npos ? 0 : nl + 1;
+  };
+  for (int i = 0; i < count && !out.empty(); ++i) {
+    const std::size_t pos = pick(out.size());
+    const char c = alphabet[pick(alphabet.size())];
+    switch (rng.uniform(0, 3)) {
+      case 0:
+        out[pos] = c;
+        break;
+      case 1:
+        out.erase(pos, 1);
+        break;
+      case 2:
+        out.insert(pos, 1, c);
+        break;
+      default: {
+        const std::size_t begin = line_start(pos);
+        const std::size_t end = std::min(out.find('\n', pos), out.size());
+        const std::string line = out.substr(begin, end - begin) + "\n";
+        out.insert(line_start(pick(out.size())), line);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+/// True when the first significant line holds a run of more than five
+/// digits. The reference parsers allocate the header's counts before
+/// reading a line (and Clustering and SystemGraph allocate theirs in both
+/// versions), so such inputs are left to the fixed-input tests.
+bool header_too_large(const std::string& text) {
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    const auto first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#') continue;
+    int run = 0;
+    for (const char c : line) {
+      run = c >= '0' && c <= '9' ? run + 1 : 0;
+      if (run > 5) return true;
+    }
+    return false;
+  }
+  return false;
+}
+
+std::string escaped(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    switch (c) {
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\v': out += "\\v"; break;
+      case '\f': out += "\\f"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
+
+/// What a parser made of one input: the object, or "<type>: <message>".
+template <class T>
+struct Outcome {
+  std::optional<T> value;
+  std::string error;
+};
+
+template <class T, class Parse>
+Outcome<T> outcome_of(const Parse& parse, const std::string& input) {
+  try {
+    return {parse(input), ""};
+  } catch (const std::exception& e) {
+    return {std::nullopt, std::string(typeid(e).name()) + ": " + e.what()};
+  }
+}
+
+/// Feeds `iterations` mutants of the corpus to both parsers and requires
+/// the same outcome; returns how many parsed.
+template <class T, class Parse, class Reference, class Same>
+int differential_fuzz(const std::vector<std::string>& corpus, std::uint64_t seed, int iterations,
+                      const Parse& parse, const Reference& reference, const Same& same) {
+  Rng rng(seed);
+  int parsed = 0;
+  int compared = 0;
+  for (int i = 0; i < iterations; ++i) {
+    const auto pick = rng.uniform(0, static_cast<std::int64_t>(corpus.size()) - 1);
+    const std::string& base = corpus[static_cast<std::size_t>(pick)];
+    const std::string input = mutate_text(base, rng, static_cast<int>(rng.uniform(0, 8)));
+    if (header_too_large(input)) continue;
+    ++compared;
+    const Outcome<T> got = outcome_of<T>(parse, input);
+    const Outcome<T> want = outcome_of<T>(reference, input);
+    EXPECT_EQ(got.error, want.error) << "input: " << escaped(input);
+    if (got.value && want.value) {
+      EXPECT_TRUE(same(*got.value, *want.value)) << "input: " << escaped(input);
+      ++parsed;
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(compared, iterations * 9 / 10);
+  return parsed;
+}
+
+TEST(FuzzParserTest, TaskGraphParserMatchesReference) {
+  std::vector<std::string> corpus = {
+      "taskgraph 0\n",
+      "# tabs, CRLF, signs, trailing fields\r\n"
+      "taskgraph\t3 extra\r\n\r\n"
+      "node 0 +2\r\n  node 1 3 # comment\r\nnode 2 4\n"
+      "edge 0 1+5\nedge 1 2 6 7\n\t# done\n",
+  };
+  for (const NodeId np : {1, 2, 5, 12, 25}) {
+    LayeredDagParams p;
+    p.num_tasks = np;
+    corpus.push_back(to_text(make_layered_dag(p, static_cast<std::uint64_t>(np))));
+  }
+  const int parsed = differential_fuzz<TaskGraph>(
+      corpus, 1801, 4000, [](const std::string& t) { return task_graph_from_text(t); },
+      [](const std::string& t) { return reference::task_graph_from_text(t); },
+      [](const TaskGraph& a, const TaskGraph& b) { return a == b; });
+  EXPECT_GT(parsed, 200);
+}
+
+TEST(FuzzParserTest, SystemGraphParserMatchesReference) {
+  std::vector<std::string> corpus = {"systemgraph 3\nlink 0 1 1\nlink 1 2 +4 x\n"};
+  for (const char* spec : {"ring-5", "mesh-2x3", "random-12-30-7", "star-4"}) {
+    corpus.push_back(to_text(make_topology(spec)));
+  }
+  const int parsed = differential_fuzz<SystemGraph>(
+      corpus, 1802, 2000, [](const std::string& t) { return system_graph_from_text(t); },
+      [](const std::string& t) { return reference::system_graph_from_text(t); },
+      [](const SystemGraph& a, const SystemGraph& b) { return a == b; });
+  EXPECT_GT(parsed, 100);
+}
+
+TEST(FuzzParserTest, ClusteringParserMatchesReference) {
+  const std::vector<std::string> corpus = {
+      to_text(Clustering({0, 1, 2, 0, 1, 2, 1, 0}, 3)),
+      to_text(Clustering({0, 0}, 4)),
+      "# blocks\nclustering 3 2 trailing\r\ntask 0 +1\n\ntask 1 0\ntask 2 1 9\n",
+  };
+  const int parsed = differential_fuzz<Clustering>(
+      corpus, 1803, 2000, [](const std::string& t) { return clustering_from_text(t); },
+      [](const std::string& t) { return reference::clustering_from_text(t); },
+      [](const Clustering& a, const Clustering& b) {
+        return a.cluster_map() == b.cluster_map() && a.num_clusters() == b.num_clusters();
+      });
+  EXPECT_GT(parsed, 100);
 }
 
 }  // namespace

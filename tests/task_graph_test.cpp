@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "graph/topological.hpp"
 
 namespace mimdmap {
@@ -145,6 +149,43 @@ TEST(TaskGraphTest, EqualityComparison) {
   EXPECT_FALSE(a == b);
   b.add_edge(0, 1, 1);
   EXPECT_EQ(a, b);
+}
+
+TEST(TaskGraphTest, BulkBuildMatchesIncrementalBuild) {
+  const std::vector<Weight> weights = {2, 3, 4, 5};
+  const std::vector<TaskEdge> edges = {{2, 3, 1}, {0, 2, 7}, {0, 1, 4}, {1, 3, 2}, {0, 3, 9}};
+  TaskGraph incremental(4);
+  for (NodeId v = 0; v < 4; ++v) incremental.set_node_weight(v, weights[idx(v)]);
+  for (const TaskEdge& e : edges) incremental.add_edge(e.from, e.to, e.weight);
+  const TaskGraph bulk(weights, edges);
+  EXPECT_EQ(bulk, incremental);  // adjacency lists in the same order too
+  EXPECT_EQ(bulk.edges(), edges);
+}
+
+TEST(TaskGraphTest, BulkBuildThrowsForFirstBadEdgeInOrder) {
+  // What add_edge would throw, for the edge it would reject first.
+  const auto error_of = [](std::vector<Weight> weights, std::vector<TaskEdge> edges) {
+    try {
+      (void)TaskGraph(std::move(weights), std::move(edges));
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("none");
+  };
+  EXPECT_EQ(error_of({1, 1, 1}, {{0, 1, 1}, {1, 2, 1}, {0, 1, 3}, {2, 5, 1}}),
+            "TaskGraph: duplicate edge (0,1)");
+  EXPECT_EQ(error_of({1, 1, 1}, {{1, 2, 1}, {2, 5, 1}, {1, 2, 3}}),
+            "TaskGraph: node id 5 out of range");
+  EXPECT_EQ(error_of({1, 1, 1}, {{1, 2, 1}, {0, 1, 0}, {1, 2, 3}}),
+            "TaskGraph: edge weight must be positive");
+  EXPECT_EQ(error_of({1, 1}, {{1, 1, 1}}), "TaskGraph: self loop");
+  EXPECT_EQ(error_of({1, -1}, {{0, 9, 1}}), "TaskGraph: task weight must be positive");
+  // The earliest duplicate in input order, not the first source's.
+  EXPECT_EQ(error_of({1, 1, 1}, {{0, 1, 1}, {1, 2, 1}, {1, 2, 2}, {0, 1, 2}}),
+            "TaskGraph: duplicate edge (1,2)");
+  EXPECT_EQ(error_of({1, 1, 1}, {{0, 2, 1}, {0, 1, 1}, {0, 2, 2}}),
+            "TaskGraph: duplicate edge (0,2)");
+  EXPECT_THROW((void)TaskGraph(std::vector<Weight>{1, 1}, {{0, -1, 1}}), std::out_of_range);
 }
 
 }  // namespace

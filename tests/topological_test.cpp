@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/rng.hpp"
+
 namespace mimdmap {
 namespace {
 
@@ -39,6 +41,27 @@ TEST(TopologicalTest, CycleReturnsNullopt) {
   g.add_edge(1, 0, 1);
   EXPECT_FALSE(topological_order(g).has_value());
   EXPECT_FALSE(is_dag(g));
+}
+
+TEST(TopologicalTest, IsDagAgreesWithTopologicalOrder) {
+  // is_dag counts Kahn removals without the min-heap; random graphs with
+  // both orientations of edges give it cycles and DAGs alike.
+  Rng rng(17);
+  int dags = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<NodeId>(rng.uniform(1, 12));
+    TaskGraph g(n);
+    const std::int64_t m = rng.uniform(0, n);
+    for (std::int64_t i = 0; i < m; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform(0, n - 1));
+      const auto b = static_cast<NodeId>(rng.uniform(0, n - 1));
+      if (a != b && !g.has_edge(a, b)) g.add_edge(a, b, 1);
+    }
+    EXPECT_EQ(is_dag(g), topological_order(g).has_value());
+    dags += is_dag(g) ? 1 : 0;
+  }
+  EXPECT_GT(dags, 30);
+  EXPECT_LT(dags, 270);
 }
 
 TEST(TopologicalTest, EmptyGraphIsDag) {
