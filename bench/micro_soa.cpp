@@ -155,7 +155,7 @@ int run(int argc, char** argv) {
 
       t0 = clock::now();
       engine.batch_total_times(hosts, mode.eval, /*num_threads=*/1, /*width=*/0, totals,
-                               incumbent, deadline);
+                               incumbent, /*potential=*/{}, deadline);
       cutoff_ns = std::min(
           cutoff_ns, std::chrono::duration<double, std::nano>(clock::now() - t0).count() /
                          static_cast<double>(hosts.size()));

@@ -8,9 +8,21 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mimdmap {
+
+namespace {
+
+// How much of its schedule each SoA wave walks: the live lanes summed over
+// the positions visited (W * np for a dense wave), and the lanes a cutoff
+// certified before their last task. Registered at start-up, so
+// `op=metrics` shows the series (as zeros) before the first wave runs.
+obs::Counter& soa_lane_tasks = obs::registry().counter("mimdmap_eval_soa_lane_tasks_total");
+obs::Counter& soa_cutoff_exits = obs::registry().counter("mimdmap_eval_soa_cutoff_exits_total");
+
+}  // namespace
 
 EvalEngine::EvalEngine(const MappingInstance& instance, std::shared_ptr<ThreadPool> pool)
     : instance_(instance), pool_(pool ? std::move(pool) : ThreadPool::shared()) {
@@ -154,6 +166,27 @@ void EvalEngine::build_delta_tables() const {
   }
   t.cluster_arc_offset[idx(nc)] = static_cast<std::uint32_t>(t.cluster_arcs.size());
   t.cluster_pair_offset.back() = static_cast<std::uint32_t>(t.cluster_arcs.size());
+}
+
+std::span<const Weight> EvalEngine::ideal_tail() const {
+  std::call_once(tail_once_, [&] {
+    // One reverse pass over the predecessor CSR: in reverse topological
+    // order every successor of v has already pushed its path into
+    // tail[v], so tail[v] is final when v pushes to its predecessors.
+    // pred_arcs_ carry the clustered weight (0 intra-cluster), i.e. one
+    // hop per inter-cluster message — the ideal graph's cost.
+    const std::vector<NodeId>& topo = instance_.topo_order();
+    ideal_tail_.assign(topo.size(), 0);
+    for (std::size_t i = topo.size(); i-- > 0;) {
+      const NodeId v = topo[i];
+      const Weight through_v = node_weight_[idx(v)] + ideal_tail_[idx(v)];
+      for (std::uint32_t a = pred_offset_[idx(v)]; a < pred_offset_[idx(v) + 1]; ++a) {
+        Weight& tail = ideal_tail_[idx(pred_arcs_[a].pred)];
+        tail = std::max(tail, pred_arcs_[a].weight + through_v);
+      }
+    }
+  });
+  return ideal_tail_;
 }
 
 EvalEngine::~EvalEngine() = default;
@@ -327,14 +360,16 @@ Weight EvalEngine::run_schedule_verdict(std::span<const NodeId> host_of,
 // [entity * W + lane], so the lane loops below read and write contiguous
 // W-wide rows; with kCutoff == false the lane index is the loop counter
 // itself and the loops vectorize. With kCutoff == true lanes are fetched
-// through the live-lane list: a lane whose running makespan reaches the
-// shared cutoff is swapped out and costs nothing from that task on (its
-// state rows go stale, but no other lane ever reads them). Per-lane
-// arithmetic is exactly the scalar kernel's — arcs in CSR order, hops in
-// route order — so live lanes finish bit-identical to trial_total_time.
+// through the live-lane list: a lane whose end plus the task's potential
+// (null: 0) reaches the shared cutoff is swapped out and costs nothing
+// from that task on (its state rows go stale, but no other lane ever reads
+// them). Per-lane arithmetic is exactly the scalar kernel's — arcs in CSR
+// order, hops in route order — so live lanes finish bit-identical to
+// trial_total_time.
 template <bool kSerialize, bool kContention, bool kCutoff>
 void EvalEngine::soa_schedule(std::span<const std::vector<NodeId>> hosts, SoaWorkspace& ws,
-                              std::span<Weight> totals, Weight cutoff) const {
+                              std::span<Weight> totals, Weight cutoff,
+                              const Weight* potential) const {
   const std::size_t W = hosts.size();
   const std::size_t np = idx(instance_.num_tasks());
   const std::size_t ns = idx(instance_.num_processors());
@@ -363,8 +398,10 @@ void EvalEngine::soa_schedule(std::span<const std::vector<NodeId>> hosts, SoaWor
   Weight* const link_free = ws.link_free.data();
   Weight* const total = ws.total.data();
   const PredArc* const arcs = pred_arcs_.data();
+  std::uint64_t lane_tasks = 0;  // added to soa_lane_tasks once per wave
 
   for (const NodeId v : instance_.topo_order()) {
+    lane_tasks += nlive;
     const NodeId* const hv = host + idx(cluster_of_[idx(v)]) * W;
     Weight* const endv = end + idx(v) * W;  // start-time accumulator, then end
     for (std::size_t k = 0; k < nlive; ++k) {
@@ -421,29 +458,37 @@ void EvalEngine::soa_schedule(std::span<const std::vector<NodeId>> hosts, SoaWor
       }
     }
     if constexpr (kCutoff) {
-      // The running makespan only grows, so a lane at or past the cutoff
-      // is certified ">= incumbent" and drops out of every later loop.
+      // end(v) is final and the potential lower-bounds what every
+      // candidate still needs after v, so a lane whose sum reaches the
+      // cutoff is certified ">= incumbent" and drops out of every later
+      // loop. Without a potential this is the first task whose end — and
+      // so the running makespan — reaches the cutoff.
+      const Weight pot = potential != nullptr ? potential[idx(v)] : 0;
+      const Weight exit_at = cutoff - pot;
       for (std::size_t k = 0; k < nlive;) {
         const std::uint32_t l = lanes[k];
-        if (total[l] >= cutoff) {
-          totals[l] = total[l];
+        if (endv[l] >= exit_at) {
+          totals[l] = endv[l] + pot;
           lanes[k] = lanes[--nlive];
         } else {
           ++k;
         }
       }
-      if (nlive == 0) return;
+      if (nlive == 0) break;
     }
   }
   for (std::size_t k = 0; k < nlive; ++k) {
     const std::size_t l = kCutoff ? lanes[k] : k;
     totals[l] = total[l];
   }
+  soa_lane_tasks.add(lane_tasks);
+  if constexpr (kCutoff) soa_cutoff_exits.add(W - nlive);
 }
 
 void EvalEngine::evaluate_batch_soa(std::span<const std::vector<NodeId>> hosts,
                                     const EvalOptions& options, SoaWorkspace& ws,
-                                    std::span<Weight> totals, Weight cutoff) const {
+                                    std::span<Weight> totals, Weight cutoff,
+                                    std::span<const Weight> potential) const {
   if (totals.size() < hosts.size()) {
     throw std::invalid_argument("evaluate_batch_soa: totals span too small");
   }
@@ -453,19 +498,23 @@ void EvalEngine::evaluate_batch_soa(std::span<const std::vector<NodeId>> hosts,
       throw std::invalid_argument("evaluate_batch_soa: candidate host map has the wrong size");
     }
   }
+  if (!potential.empty() && potential.size() != idx(instance_.num_tasks())) {
+    throw std::invalid_argument("evaluate_batch_soa: potential must have one entry per task");
+  }
   if (hosts.empty()) return;
   if (options.link_contention) ensure_routing();
+  const Weight* const pot = potential.empty() ? nullptr : potential.data();
   const int mode = (options.serialize_within_processor ? 1 : 0) |
                    (options.link_contention ? 2 : 0) | (cutoff != kNoCutoff ? 4 : 0);
   switch (mode) {
-    case 0: return soa_schedule<false, false, false>(hosts, ws, totals, cutoff);
-    case 1: return soa_schedule<true, false, false>(hosts, ws, totals, cutoff);
-    case 2: return soa_schedule<false, true, false>(hosts, ws, totals, cutoff);
-    case 3: return soa_schedule<true, true, false>(hosts, ws, totals, cutoff);
-    case 4: return soa_schedule<false, false, true>(hosts, ws, totals, cutoff);
-    case 5: return soa_schedule<true, false, true>(hosts, ws, totals, cutoff);
-    case 6: return soa_schedule<false, true, true>(hosts, ws, totals, cutoff);
-    default: return soa_schedule<true, true, true>(hosts, ws, totals, cutoff);
+    case 0: return soa_schedule<false, false, false>(hosts, ws, totals, cutoff, pot);
+    case 1: return soa_schedule<true, false, false>(hosts, ws, totals, cutoff, pot);
+    case 2: return soa_schedule<false, true, false>(hosts, ws, totals, cutoff, pot);
+    case 3: return soa_schedule<true, true, false>(hosts, ws, totals, cutoff, pot);
+    case 4: return soa_schedule<false, false, true>(hosts, ws, totals, cutoff, pot);
+    case 5: return soa_schedule<true, false, true>(hosts, ws, totals, cutoff, pot);
+    case 6: return soa_schedule<false, true, true>(hosts, ws, totals, cutoff, pot);
+    default: return soa_schedule<true, true, true>(hosts, ws, totals, cutoff, pot);
   }
 }
 
@@ -610,6 +659,7 @@ void EvalEngine::batch_total_times(std::span<const std::vector<NodeId>> hosts,
 void EvalEngine::batch_total_times(std::span<const std::vector<NodeId>> hosts,
                                    const EvalOptions& options, int num_threads, int width,
                                    std::span<Weight> totals, Weight cutoff,
+                                   std::span<const Weight> potential,
                                    const CancelToken& cancel) const {
   if (totals.size() < hosts.size()) {
     throw std::invalid_argument("batch_total_times: totals span too small");
@@ -623,6 +673,9 @@ void EvalEngine::batch_total_times(std::span<const std::vector<NodeId>> hosts,
       throw std::invalid_argument("batch_total_times: candidate host map has the wrong size");
     }
   }
+  if (!potential.empty() && potential.size() != idx(instance_.num_tasks())) {
+    throw std::invalid_argument("batch_total_times: potential must have one entry per task");
+  }
   num_threads = resolve_num_threads(num_threads, options);
   // Contention tables are built once up front so pooled lanes never race on
   // first use (call_once would serialise them anyway; this keeps the lanes'
@@ -631,7 +684,8 @@ void EvalEngine::batch_total_times(std::span<const std::vector<NodeId>> hosts,
   width = resolve_batch_width(width, options);
   if (width <= 1) {
     // Scalar fallback path (width 1 / MIMDMAP_EVAL_WIDTH=1): one trial per
-    // work item on the streaming kernel, exact totals even past the cutoff.
+    // work item on the streaming kernel, exact totals even past the cutoff
+    // (cutoff and potential are not read).
     // A tripped cancel token turns the remaining trials into kNoCutoff
     // sentinels ("cannot beat any incumbent") instead of scheduling them.
     for_each_parallel(hosts.size(), num_threads, [&](std::size_t i, EvalWorkspace& ws) {
@@ -657,7 +711,7 @@ void EvalEngine::batch_total_times(std::span<const std::vector<NodeId>> hosts,
       return;
     }
     evaluate_batch_soa(hosts.subspan(begin, count), options, ws,
-                       totals.subspan(begin, count), cutoff);
+                       totals.subspan(begin, count), cutoff, potential);
   };
   int lanes = std::min(num_threads, pool_->lane_limit());
   if (waves < static_cast<std::size_t>(std::numeric_limits<int>::max())) {

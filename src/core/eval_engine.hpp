@@ -20,6 +20,8 @@
 //  * the delta evaluator's tables (successor CSR, per-cluster boundary
 //    arcs, potentials; built lazily by the first begin_delta, so the flat
 //    paper pipeline, which never starts a DeltaEval, never pays for them),
+//  * the ideal-graph tail refine() prunes its candidate waves with (built
+//    lazily by the first ideal_tail()),
 //  * a handle on the process-wide shared ThreadPool (service/thread_pool.hpp)
 //    so parallel search loops stop paying thread-spawn latency per call and
 //    many engines mapping concurrently shard one pool instead of
@@ -246,12 +248,17 @@ class EvalEngine {
   /// Full form: `width` lanes per SoA wave (resolved via
   /// resolve_batch_width; 1 keeps every candidate on the scalar trial
   /// kernel) and an optional shared incumbent. With cutoff != kNoCutoff a
-  /// lane whose *partial* makespan already reaches the cutoff early-exits:
-  /// its reported total is then a certified lower bound >= cutoff on the
-  /// exact makespan (i.e. "cannot beat the incumbent") instead of the exact
-  /// value. Lanes reported below the cutoff are always exact, so
-  /// keep-iff-better scans make bit-identical decisions for every width,
-  /// thread count and cutoff.
+  /// lane early-exits at the first task v whose end plus `potential[v]`
+  /// reaches the cutoff (an empty potential counts 0, so the lane exits
+  /// when its partial makespan does): its reported total is then that
+  /// sum, a certified lower bound >= cutoff on the exact makespan (i.e.
+  /// "cannot beat the incumbent") instead of the exact value. Lanes
+  /// reported below the cutoff are always exact, so keep-iff-better scans
+  /// make bit-identical decisions for every width, thread count and
+  /// cutoff. The potential must lower-bound the remaining path of every
+  /// candidate in `hosts` — ideal_tail() does only for injective maps, so
+  /// the engine never applies it by itself. The width-1 scalar path
+  /// ignores cutoff and potential and stays exact.
   ///
   /// `cancel` bounds cancellation latency to ONE wave: each wave (and each
   /// scalar trial on the width-1 path) makes a non-counting
@@ -262,20 +269,34 @@ class EvalEngine {
   /// token never changes any total (bit-identity preserved).
   void batch_total_times(std::span<const std::vector<NodeId>> hosts, const EvalOptions& options,
                          int num_threads, int width, std::span<Weight> totals,
-                         Weight cutoff = kNoCutoff, const CancelToken& cancel = {}) const;
+                         Weight cutoff = kNoCutoff, std::span<const Weight> potential = {},
+                         const CancelToken& cancel = {}) const;
 
   /// The SoA batch kernel: schedules all hosts.size() candidates in ONE
   /// walk over the topological order and CSR predecessor arcs, with
   /// lane-contiguous inner loops over the `[task][lane]` state arrays
   /// (DESIGN.md 12). totals[l] receives candidate l's makespan —
   /// bit-identical to trial_total_time(hosts[l]) / evaluate_reference —
-  /// except for lanes early-exited by `cutoff` (see batch_total_times
-  /// above), which report a lower bound >= cutoff. Runs on the calling
-  /// thread; concurrent callers must bring private workspaces. Zero heap
-  /// allocations once the workspace is warm.
+  /// except for lanes early-exited by `cutoff` and `potential` (see
+  /// batch_total_times above), which report a lower bound >= cutoff. Runs
+  /// on the calling thread; concurrent callers must bring private
+  /// workspaces. Zero heap allocations once the workspace is warm.
   void evaluate_batch_soa(std::span<const std::vector<NodeId>> hosts,
                           const EvalOptions& options, SoaWorkspace& ws,
-                          std::span<Weight> totals, Weight cutoff = kNoCutoff) const;
+                          std::span<Weight> totals, Weight cutoff = kNoCutoff,
+                          std::span<const Weight> potential = {}) const;
+
+  /// The ideal-graph tail: tail[v] is the longest path from the end of
+  /// task v to a sink of the ideal graph (paper section 4.1), counting
+  /// every later task's weight and every inter-cluster arc's clustered
+  /// weight once (intra-cluster arcs 0). Any assignment that puts distinct
+  /// clusters on distinct processors sends each inter-cluster message over
+  /// at least one hop, so end(v) + tail[v] lower-bounds its makespan in
+  /// every cost model — refine()'s incumbent-cutoff potential. Maps that
+  /// stack two clusters on one processor break the bound. Built on first
+  /// call (thread-safe, the call_once idiom of delta_tables()); 8 bytes
+  /// per task for the engine's lifetime.
+  [[nodiscard]] std::span<const Weight> ideal_tail() const;
 
   /// Resolves a RefineOptions-style SoA wave width: values > 0 pass
   /// through (capped at 4096 — wave state scales with W, so absurd
@@ -364,7 +385,7 @@ class EvalEngine {
   /// live-lane-compaction variant; without it the lane loops stay dense.
   template <bool kSerialize, bool kContention, bool kCutoff>
   void soa_schedule(std::span<const std::vector<NodeId>> hosts, SoaWorkspace& ws,
-                    std::span<Weight> totals, Weight cutoff) const;
+                    std::span<Weight> totals, Weight cutoff, const Weight* potential) const;
 
   /// The tables only DeltaEval reads, built together on the first
   /// begin_delta (delta_tables()).
@@ -409,6 +430,9 @@ class EvalEngine {
 
   mutable std::once_flag delta_once_;
   mutable DeltaTables delta_tables_;
+
+  mutable std::once_flag tail_once_;
+  mutable std::vector<Weight> ideal_tail_;  // ideal_tail(), built on first call
 
   // Lazily built contention tables (plain evaluations never pay for them).
   // When shared_tables_ is set (adopt_topology) the pointers alias the

@@ -86,6 +86,7 @@ RefineResult refine(const EvalEngine& engine, const IdealSchedule& ideal,
   const std::vector<NodeId>& initial_host = initial.assignment.host_of_vector();
   std::vector<std::vector<NodeId>> chunk(chunk_capacity, initial_host);
   std::vector<Weight> totals(chunk_capacity, 0);
+  const std::span<const Weight> tail = engine.ideal_tail();
 
   std::vector<NodeId> best_host = initial_host;
   Weight best_total = result.initial_total;
@@ -113,18 +114,22 @@ RefineResult refine(const EvalEngine& engine, const IdealSchedule& ideal,
     // Step 4b: evaluate the chunk. Parallel mode fans SoA waves across the
     // engine's persistent worker pool; sequential mode evaluates wave by
     // wave so the early termination saves every skipped wave. The incumbent
-    // best is passed as the waves' shared cutoff: a lane that can no longer
-    // beat it early-exits and reports a certified ">= best" bound, which
-    // the in-order scan below rejects exactly as it would the exact value.
-    // The termination check stays exact too: while it is live, best is
-    // strictly above the lower bound (step 3 / 4c return on equality), so a
-    // lower-bound-reaching candidate is never cut off and a cut-off lane's
-    // bound can never equal the lower bound. Hence the whole scan is
-    // bit-identical for any thread count and width.
+    // best is passed as the waves' shared cutoff, with the ideal-graph tail
+    // as potential: every candidate is a permutation (free clusters over
+    // the processors they already hold), so each inter-cluster message
+    // crosses at least one hop and end(v) + tail(v) never exceeds the
+    // candidate's total. A lane whose sum reaches best early-exits and
+    // reports a certified ">= best" bound, which the in-order scan below
+    // rejects exactly as it would the exact value. The termination check
+    // stays exact too: while it is live, best is strictly above the lower
+    // bound (step 3 / 4c return on equality), so a lower-bound-reaching
+    // candidate is never cut off and a cut-off lane's bound can never
+    // equal the lower bound. Hence the whole scan is bit-identical for any
+    // thread count and width.
     const obs::Span chunk_span("refine_chunk", "mapper", "candidates",
                                static_cast<std::int64_t>(m));
     engine.batch_total_times(std::span(chunk.data(), m), options.eval, threads, width,
-                             std::span(totals.data(), m), best_total, options.cancel);
+                             std::span(totals.data(), m), best_total, tail, options.cancel);
 
     for (std::size_t i = 0; i < m; ++i) {
       ++result.trials_used;

@@ -52,12 +52,17 @@ std::string topology_fingerprint(const SystemGraph& system, DistanceModel model)
   return key;
 }
 
+namespace {
+
+// Registered at start-up, so `op=metrics` shows the series (as zeros)
+// before the first job acquires a topology.
+obs::Counter& hit_counter = obs::registry().counter("mimdmap_topo_cache_hits_total");
+obs::Counter& miss_counter = obs::registry().counter("mimdmap_topo_cache_misses_total");
+
+}  // namespace
+
 std::shared_ptr<const TopologyTables> TopologyCache::acquire(const SystemGraph& system,
                                                              DistanceModel model, bool* hit) {
-  static obs::Counter& hit_counter =
-      obs::registry().counter("mimdmap_topo_cache_hits_total");
-  static obs::Counter& miss_counter =
-      obs::registry().counter("mimdmap_topo_cache_misses_total");
   const obs::Span span("topo_acquire", "cache", "nodes",
                        static_cast<std::int64_t>(system.node_count()));
   const std::string key = topology_fingerprint(system, model);

@@ -1,12 +1,13 @@
 #include "service/fault_injection.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <new>
 #include <stdexcept>
-#include <thread>
 
 namespace mimdmap {
 namespace {
@@ -14,6 +15,8 @@ namespace {
 struct FaultState {
   std::mutex mutex;          // guards config writes; reads copy under it
   FaultConfig config;
+  std::uint64_t generation = 0;  // bumped by every set_fault_config
+  std::condition_variable replaced;  // notified with each bump
   std::atomic<bool> enabled{false};
   std::atomic<std::uint64_t> draws{0};
   std::once_flag env_once;
@@ -80,11 +83,16 @@ double armed_probability(double FaultConfig::* field) {
 FaultConfig set_fault_config(const FaultConfig& config) {
   FaultState& s = state();
   ensure_env_loaded(s);
-  const std::lock_guard<std::mutex> lock(s.mutex);
-  FaultConfig previous = s.config;
-  s.config = config;
-  s.draws.store(0, std::memory_order_relaxed);
-  s.enabled.store(config.any(), std::memory_order_relaxed);
+  FaultConfig previous;
+  {
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    previous = s.config;
+    s.config = config;
+    ++s.generation;
+    s.draws.store(0, std::memory_order_relaxed);
+    s.enabled.store(config.any(), std::memory_order_relaxed);
+  }
+  s.replaced.notify_all();  // releases runners stalled under the old config
   return previous;
 }
 
@@ -163,15 +171,22 @@ void fault_point_topo_alloc() {
   }
 }
 
-void fault_sleep_runner() {
+void fault_sleep_runner(const CancelToken& cancel) {
   FaultState& s = state();
   if (!fault_injection_enabled()) return;
-  int ms;
-  {
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    ms = s.config.slow_runner_ms;
+  std::unique_lock<std::mutex> lock(s.mutex);
+  if (s.config.slow_runner_ms <= 0) return;
+  using clock = std::chrono::steady_clock;
+  const auto until = clock::now() + std::chrono::milliseconds(s.config.slow_runner_ms);
+  const std::uint64_t generation = s.generation;
+  // A new config wakes the condvar at once; the token has no condvar to
+  // wait on, so it is polled every few milliseconds.
+  constexpr auto kPoll = std::chrono::milliseconds(5);
+  while (s.generation == generation && !cancel.signalled()) {
+    const auto now = clock::now();
+    if (now >= until) break;
+    s.replaced.wait_until(lock, std::min(until, now + kPoll));
   }
-  if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
 }  // namespace mimdmap

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <string>
 
+#include "core/cancellation.hpp"
+
 namespace mimdmap {
 
 struct FaultConfig {
@@ -30,6 +32,9 @@ struct FaultConfig {
   /// P(throw std::bad_alloc) in the TopologyCache fill path.
   double topo_alloc_fail = 0.0;
   /// Stall each runner this long at job start (widens cancellation races).
+  /// A stall ends early when the job's token signals or when
+  /// set_fault_config installs a new config — tests hold jobs "running"
+  /// with a long stall and release them by restoring the previous config.
   int slow_runner_ms = 0;
   /// Seed of the process-wide draw stream.
   std::uint64_t seed = 0x5eed;
@@ -63,7 +68,8 @@ void fault_point_build();
 void fault_point_mapper();
 /// Topology-cache fill: may throw std::bad_alloc.
 void fault_point_topo_alloc();
-/// Runner stall at job start.
-void fault_sleep_runner();
+/// Runner stall at job start; returns early once `cancel` signals or the
+/// config is replaced.
+void fault_sleep_runner(const CancelToken& cancel);
 
 }  // namespace mimdmap

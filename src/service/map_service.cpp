@@ -90,6 +90,10 @@ MapJobResult run_map_job(const MapJob& job, const std::shared_ptr<ThreadPool>& p
   MapJobResult result;
   result.name = job.name;
 
+  // The fault-injection stall precedes the start check, so a job cancelled
+  // while held there is skipped like any other not-yet-started job.
+  fault_sleep_runner(cancel);
+
   // A signal that lands before execution starts (a cancelled or expired
   // queued job) skips the job entirely: there is no incumbent to degrade
   // to, so the report stays empty and only the status carries information.
@@ -99,8 +103,6 @@ MapJobResult run_map_job(const MapJob& job, const std::shared_ptr<ThreadPool>& p
     result.wall_ms = std::chrono::duration<double, std::milli>(clock::now() - t0).count();
     return result;
   }
-
-  fault_sleep_runner();
 
   obs::Span job_span("job", "job");
 

@@ -565,14 +565,13 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
   // for its terminal frame — an accepted job can never slip past teardown.
   outstanding_.fetch_add(1);
   if (draining_.load()) {
-    outstanding_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> slock(mutex_);
       ++stats_.shed;
     }
     server_metrics().shed.inc();
     conn->write_frame_locked(overloaded_frame(tag, -1));
-    drain_cv_.notify_all();
+    retire_outstanding();
     return;
   }
 
@@ -623,11 +622,10 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
       }
       server_metrics().accepted.inc();
       server_metrics().terminals.inc();
-      outstanding_.fetch_sub(1);
       (void)conn->write_frame_locked(accepted_frame(
           tag, ticket.jid, service_->stats().queue_depth, ticket.fingerprint));
       (void)conn->write_frame_locked(result_frame(frame));
-      drain_cv_.notify_all();
+      retire_outstanding();
       return;
     }
   }
@@ -643,7 +641,6 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
                              deliver_result(self, tag_copy, ticket, result);
                            });
   } catch (const AdmissionRejectedError&) {
-    outstanding_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> slock(mutex_);
       ++stats_.shed;
@@ -655,18 +652,19 @@ void MapServer::submit_request(const std::shared_ptr<Connection>& conn,
     conn->write_frame_locked(overloaded_frame(
         tag, jittered_retry_ms(retry_hint_ms(), conn->client_id, options_.min_retry_ms,
                                options_.max_retry_ms)));
+    retire_outstanding();
     return;
   } catch (const std::exception& e) {
     // Submitter-contract violations (no instance/builder) can't happen —
     // make_job always sets build — but captured anyway: one error frame,
     // the connection lives.
-    outstanding_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> slock(mutex_);
       ++stats_.parse_errors;
     }
     server_metrics().parse_errors.inc();
     conn->write_frame_locked(error_frame(tag, e.what()));
+    retire_outstanding();
     return;
   }
 
@@ -755,6 +753,15 @@ void MapServer::deliver_result(const std::shared_ptr<Connection>& conn,
     if (ticket.replayed) ++stats_.replayed;
   }
   server_metrics().terminals.inc();
+  retire_outstanding();
+}
+
+void MapServer::retire_outstanding() {
+  // Under mutex_, the lock drain_main evaluates its predicate under: the
+  // decrement cannot slip between that check and the wait (a lost
+  // wakeup), and drain_main — hence ~MapServer — cannot get past its wait
+  // while this thread is still inside notify_all.
+  std::lock_guard<std::mutex> lock(mutex_);
   outstanding_.fetch_sub(1);
   drain_cv_.notify_all();
 }
@@ -1001,12 +1008,12 @@ void MapServer::replay_entry(const JournalEntry& entry) {
                                             &service_->topology_cache());
     deliver_result(recovery_conn_, tag, ticket, result);
   } catch (const std::exception& e) {
-    outstanding_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --stats_.accepted;
     }
     fail_inline(std::string("replay submit failed: ") + e.what());
+    retire_outstanding();
   }
 }
 

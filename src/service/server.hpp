@@ -183,6 +183,10 @@ class MapServer {
   /// the job from the drain count.
   void deliver_result(const std::shared_ptr<Connection>& conn, const std::string& tag,
                       const JobTicket& ticket, const MapJobResult& result);
+  /// Retires one accepted-or-shed submit from the drain count once its
+  /// terminal frame is written: decrements outstanding_ and wakes the
+  /// drainer, both under mutex_.
+  void retire_outstanding();
   /// Cancels every live job of the connection and forgets its client
   /// state (disconnect path). Idempotent.
   void abandon_connection(const std::shared_ptr<Connection>& conn);

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
 #include "baseline/random_mapping.hpp"
 #include "cluster/strategies.hpp"
 #include "core/mapper.hpp"
@@ -196,6 +199,68 @@ TEST(EvalEngineTest, RefineOnSharedEngineMatchesOneShot) {
   const RandomMappingStats stats_engine = evaluate_random_mappings(engine, 12, 77);
   const RandomMappingStats stats_legacy = evaluate_random_mappings(pl.instance, 12, 77);
   EXPECT_EQ(stats_engine.totals, stats_legacy.totals);
+}
+
+TEST(EvalEngineTest, ConcurrentFirstIdealTailBuildsTableOnce) {
+  // refine() fetches the ideal tail on first use and hands it to waves on
+  // the engine's pool lanes, while other evaluators may use the same
+  // engine with private workspaces. Four threads hit a fresh engine at the
+  // same moment — one refines on two pool lanes, three score a wave under
+  // the tail through private SoA workspaces — and every result must match
+  // a sequential run on another engine. The TSan job runs this suite.
+  Pipeline pl = build_pipeline(300, make_hypercube(3), 5);
+  RefineOptions opts;
+  opts.seed = 11;
+  opts.max_trials = 48;
+  opts.eval_width = 8;
+  opts.num_threads = 2;
+  opts.use_termination_condition = false;  // reach the waves
+  Rng rng(23);
+  std::vector<std::vector<NodeId>> hosts;
+  for (int i = 0; i < 16; ++i) hosts.push_back(random_assignment(8, rng).host_of_vector());
+  const Weight cutoff = total_time(pl.instance, pl.initial.assignment);  // refine's incumbent
+
+  const EvalEngine reference_engine(pl.instance);
+  const std::span<const Weight> expected_tail = reference_engine.ideal_tail();
+  const RefineResult expected = refine(reference_engine, pl.ideal, pl.initial, opts);
+  SoaWorkspace reference_ws;
+  std::vector<Weight> expected_totals(hosts.size(), -1);
+  reference_engine.evaluate_batch_soa(hosts, {}, reference_ws, expected_totals, cutoff,
+                                      expected_tail);
+
+  const EvalEngine engine(pl.instance);
+  constexpr int kThreads = 4;
+  RefineResult refined;
+  std::vector<const Weight*> tables(kThreads, nullptr);
+  std::vector<std::vector<Weight>> totals(kThreads, std::vector<Weight>(hosts.size(), -1));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const auto i = static_cast<std::size_t>(t);
+      if (t == 0) {
+        refined = refine(engine, pl.ideal, pl.initial, opts);
+        return;
+      }
+      const std::span<const Weight> tail = engine.ideal_tail();
+      tables[i] = tail.data();
+      SoaWorkspace ws;
+      engine.evaluate_batch_soa(hosts, {}, ws, totals[i], cutoff, tail);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const std::span<const Weight> tail = engine.ideal_tail();
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), expected_tail.begin(), expected_tail.end()));
+  EXPECT_EQ(refined.assignment, expected.assignment);
+  EXPECT_EQ(refined.trials_used, expected.trials_used);
+  EXPECT_EQ(refined.improvements, expected.improvements);
+  for (int t = 1; t < kThreads; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    EXPECT_EQ(tables[i], tail.data()) << "thread " << t;  // one build, one table
+    EXPECT_EQ(totals[i], expected_totals) << "thread " << t;
+  }
 }
 
 TEST(EvalEngineTest, MapInstanceOnEngineMatchesInstanceOverload) {

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/fault_injection.hpp"
 #include "service/wire.hpp"
 
 namespace mimdmap::serve {
@@ -320,11 +321,34 @@ ServerStats settled_stats(MapServer& server, std::uint64_t want_terminals) {
 }
 
 constexpr const char* kFastJob = "gen=diamond gen-a=3 gen-b=3 spec=mesh-2x2 seed=5";
-/// Roughly 50 ms of refinement on the CI box — long enough to observe
-/// queued/running states, short enough to keep the suite quick.
+/// The job the lifecycle tests cancel, shed behind or drain. They hold it
+/// with HeldJobs, so its own running time (a few ms) never decides what
+/// they observe.
 constexpr const char* kSlowJob =
     "gen=layered gen-a=2000 gen-b=20 gen-seed=1 spec=hypercube-3 seed=9 "
     "trials=200000 deadline-ms=-1";
+
+/// Holds every job at runner start (the fault-injection stall) until
+/// release() or destruction restores the previous fault config. A held
+/// job counts as running; cancelling it ends the stall and the job ends
+/// `cancelled`.
+class HeldJobs {
+ public:
+  HeldJobs() : saved_(set_fault_config({.slow_runner_ms = 60000})) {}
+  ~HeldJobs() { release(); }
+  HeldJobs(const HeldJobs&) = delete;
+  HeldJobs& operator=(const HeldJobs&) = delete;
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    (void)set_fault_config(saved_);
+  }
+
+ private:
+  FaultConfig saved_;
+  bool released_ = false;
+};
 
 TEST(ServeTest, PingSubmitResultLifecycle) {
   PipeHarness h;
@@ -380,6 +404,7 @@ TEST(ServeTest, MalformedLinesCostOneErrorEachAndServingContinues) {
 }
 
 TEST(ServeTest, DuplicateTagRejectedWhileFirstDelivers) {
+  HeldJobs held;
   PipeHarness h;
   h.client().send_line(std::string("id=twin ") + kSlowJob);
   h.client().expect_event("accepted");
@@ -397,6 +422,7 @@ TEST(ServeTest, DuplicateTagRejectedWhileFirstDelivers) {
 }
 
 TEST(ServeTest, CancelDeliversOneDegradedTerminal) {
+  HeldJobs held;
   PipeHarness h;
   h.client().send_line(std::string("id=victim ") + kSlowJob);
   h.client().expect_event("accepted");
@@ -485,6 +511,7 @@ TEST(ServeTest, OverloadShedsWithBackoffHint) {
   options.service.max_concurrent_jobs = 1;
   options.service.lanes = 1;
   options.service.max_queue = 1;
+  HeldJobs held;
   PipeHarness h(std::move(options));
 
   constexpr int kSubmits = 5;
@@ -516,9 +543,12 @@ TEST(ServeTest, OverloadShedsWithBackoffHint) {
   EXPECT_EQ(accepted + shed, kSubmits);
   EXPECT_EQ(h.server().stats().shed, static_cast<std::uint64_t>(shed));
 
-  // Drain: every accepted job still gets its one terminal frame.
+  // Drain: every accepted job still gets its one terminal frame. The held
+  // jobs are released once the drain has been acknowledged, so no result
+  // can overtake the draining frame.
   h.client().send_line("op=drain mode=finish");
   h.client().expect_event("draining");
+  held.release();
   std::set<std::string> result_ids;
   while (true) {
     const auto frame = h.client().next_frame();
@@ -535,10 +565,11 @@ TEST(ServeTest, OverloadShedsWithBackoffHint) {
 }
 
 TEST(ServeTest, DrainFinishLosesNothingAndShedsLateSubmits) {
+  HeldJobs held;
   PipeHarness h;
-  // A slow job keeps the drain outstanding long enough for the post-drain
-  // submit to be read and shed deterministically (frames on one connection
-  // are handled in order).
+  // Held jobs keep the drain outstanding until the post-drain submit has
+  // been read and shed (frames on one connection are handled in order);
+  // only then are they released to finish.
   h.client().send_line(std::string("id=slow ") + kSlowJob);
   for (int i = 0; i < 3; ++i) {
     h.client().send_line(std::string("id=fast") + std::to_string(i) + " " + kFastJob);
@@ -565,6 +596,7 @@ TEST(ServeTest, DrainFinishLosesNothingAndShedsLateSubmits) {
       EXPECT_EQ(frame->at("id"), "late");
       EXPECT_EQ(frame->at("retry-ms"), "-1");
       saw_late_shed = true;
+      held.release();
     } else if (event == "bye") {
       break;
     } else {
@@ -583,6 +615,7 @@ TEST(ServeTest, DrainFinishLosesNothingAndShedsLateSubmits) {
 }
 
 TEST(ServeTest, DisconnectCancelsOutstandingJobs) {
+  HeldJobs held;
   PipeHarness h;
   h.client().send_line(std::string("id=doomed ") + kSlowJob);
   h.client().expect_event("accepted");
@@ -779,11 +812,19 @@ TEST(ServeTest, ShedRetryHintsAreJitteredPerClient) {
   options.service.max_queue = 1;
   options.min_retry_ms = 10;
   options.max_retry_ms = 2000;
+  HeldJobs held;
   PipeHarness h(std::move(options));
 
-  // Fill the single runner + the single queue slot.
+  // Fill the single runner + the single queue slot. s1 goes out only once
+  // the runner holds s0, else it would find the queue slot taken.
   h.client().send_line(std::string("id=s0 ") + kSlowJob);
   h.client().expect_event("accepted");
+  for (int i = 0; i < 3000; ++i) {
+    const ServiceStats service = h.server().service().stats();
+    if (service.active == 1 && service.queue_depth == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(h.server().service().stats().active, 1);
   h.client().send_line(std::string("id=s1 ") + kSlowJob);
   h.client().expect_event("accepted");
 
@@ -796,11 +837,11 @@ TEST(ServeTest, ShedRetryHintsAreJitteredPerClient) {
   const std::int64_t hint1 = std::stoll(shed1.at("retry-ms"));
   EXPECT_GT(hint1, 0);
   // …as long as the backlog didn't move between the two sheds (it can't:
-  // kSlowJob runs ~50 ms and both sheds are back-to-back). Identical
-  // backlog + identical client => identical jittered hint.
+  // s0 is held and s1 waits behind it). Identical backlog + identical
+  // client => identical jittered hint.
   EXPECT_EQ(hint1, std::stoll(shed2.at("retry-ms")));
 
-  // Drain cancels the two slow jobs; their terminals settle the counters.
+  // Drain cancels the two held jobs; their terminals settle the counters.
   h.server().request_drain(DrainMode::kCancel);
   h.server().wait();
 }

@@ -8,8 +8,9 @@
 // certified ">= cutoff" bounds for early-exited lanes. This suite drives
 // randomized candidate batches across DAG shapes x topologies x modes x
 // widths {1, 2, 7, 32} x thread counts, re-checks every early-exited lane
-// without the cutoff, and pins the width resolution rules
-// (request / MIMDMAP_EVAL_WIDTH / cache-footprint auto).
+// without the cutoff, checks the ideal-graph tail potential on every
+// topology family, distance model and cost model, and pins the width
+// resolution rules (request / MIMDMAP_EVAL_WIDTH / cache-footprint auto).
 #include "core/eval_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,9 @@
 #include "baseline/random_mapping.hpp"
 #include "cluster/strategies.hpp"
 #include "core/refinement.hpp"
+#include "graph/topological.hpp"
+#include "obs/metrics.hpp"
+#include "topology/factory.hpp"
 #include "topology/topology.hpp"
 #include "workload/random_dag.hpp"
 #include "workload/rng.hpp"
@@ -211,60 +215,222 @@ TEST(SoaKernelTest, CutoffLanesAreExactBelowAndCertifiedBoundsAbove) {
   }
 }
 
+/// The ideal-graph tail straight off the problem graph: tail[v] = max over
+/// successors s of (clustered weight of v -> s) + weight(s) + tail[s].
+std::vector<Weight> reference_ideal_tail(const MappingInstance& inst) {
+  const TaskGraph& g = inst.problem();
+  const std::vector<NodeId> topo = topological_order(g).value();
+  std::vector<Weight> tail(idx(g.node_count()), 0);
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const NodeId v = *it;
+    for (const auto& [s, w] : g.successors(v)) {
+      const Weight message = inst.clustering().same_cluster(v, s) ? 0 : w;
+      tail[idx(v)] = std::max(tail[idx(v)], message + g.node_weight(s) + tail[idx(s)]);
+    }
+  }
+  return tail;
+}
+
+/// `sys` with link weights 1..3, so weighted distances differ from hops.
+SystemGraph reweighted(const SystemGraph& sys, std::uint64_t seed) {
+  Rng rng(seed);
+  SystemGraph out(sys.node_count(), sys.name() + "-weighted");
+  for (const SystemLink& link : sys.links()) out.add_link(link.a, link.b, rng.uniform(1, 3));
+  return out;
+}
+
+TEST(SoaKernelTest, IdealTailPotentialIsSoundOnEveryTopologyFamily) {
+  // One machine per factory family (ns <= 64), block and random
+  // clustering, both distance models, every cost model. The engine's tail
+  // matches the recurrence above, and under it permutation candidates are
+  // exact below a mid-range cutoff and certified at or above it: the bound
+  // never overshoots the exact total and the exact total really reaches
+  // the cutoff.
+  const std::vector<std::string> specs = {
+      "hypercube-6",    "mesh-3x4",     "torus-3x4", "ring-9",       "star-7",
+      "chain-6",        "complete-6",   "tree-2x3",  "random-12-25-7", "mesh3d-2x2x3",
+      "debruijn-3",     "ccc-3",        "chordal-10-3", "bipartite-3x4"};
+  ASSERT_EQ(specs.size(), topology_families().size());
+  constexpr std::size_t kCandidates = 40;
+  std::int64_t exact_lanes = 0;
+  std::int64_t cut_lanes = 0;
+  for (std::size_t f = 0; f < specs.size(); ++f) {
+    const SystemGraph unit = make_topology(specs[f]);
+    const NodeId ns = unit.node_count();
+    LayeredDagParams p;
+    p.num_tasks = node_id(std::min<std::size_t>(6 * idx(ns) + 40, 240));
+    const TaskGraph g = make_layered_dag(p, f + 1);
+    for (const bool block : {true, false}) {
+      const Clustering c = block ? block_clustering(g, ns) : random_clustering(g, ns, f + 7);
+      for (const DistanceModel model : {DistanceModel::kHops, DistanceModel::kWeightedLinks}) {
+        const bool weighted = model == DistanceModel::kWeightedLinks;
+        const MappingInstance inst(g, c, weighted ? reweighted(unit, f + 3) : unit, model);
+        const EvalEngine engine(inst);
+        const std::string where = specs[f] + (block ? " block" : " random") +
+                                  (weighted ? " weighted" : " hops");
+        const std::span<const Weight> tail = engine.ideal_tail();
+        ASSERT_EQ(std::vector<Weight>(tail.begin(), tail.end()), reference_ideal_tail(inst))
+            << where;
+        Rng rng(f * 131 + (block ? 17 : 0) + (weighted ? 5 : 0));
+        std::vector<std::vector<NodeId>> hosts;
+        for (std::size_t i = 0; i < kCandidates; ++i) {
+          hosts.push_back(random_assignment(ns, rng).host_of_vector());
+        }
+        for (const EvalOptions& mode : all_modes()) {
+          std::vector<Weight> exact(kCandidates);
+          for (std::size_t i = 0; i < kCandidates; ++i) {
+            exact[i] =
+                evaluate_reference(inst, Assignment::from_host_of(hosts[i]), mode).total_time;
+          }
+          std::vector<Weight> sorted = exact;
+          std::sort(sorted.begin(), sorted.end());
+          const Weight cutoff = sorted[sorted.size() / 2];
+          for (const int width : {8, 32}) {
+            std::vector<Weight> totals(kCandidates, -1);
+            engine.batch_total_times(hosts, mode, /*num_threads=*/1, width, totals, cutoff, tail);
+            for (std::size_t i = 0; i < kCandidates; ++i) {
+              const std::string what = where + mode_name(mode) +
+                                       " width=" + std::to_string(width) +
+                                       " i=" + std::to_string(i);
+              if (totals[i] < cutoff) {
+                EXPECT_EQ(totals[i], exact[i]) << what;
+                ++exact_lanes;
+              } else {
+                EXPECT_LE(totals[i], exact[i]) << what;
+                EXPECT_GE(exact[i], cutoff) << what;
+                ++cut_lanes;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact_lanes, 0);
+  EXPECT_GT(cut_lanes, 0);
+}
+
+TEST(SoaKernelTest, IdealTailIsNoBoundForMapsThatStackClusters) {
+  // Two clusters on one processor exchange their message for free, so
+  // end + tail can exceed the exact total. That is why the engine never
+  // applies the tail by itself and only refine(), whose candidates are
+  // permutations, passes it.
+  TaskGraph g(2);
+  g.set_node_weight(0, 2);
+  g.set_node_weight(1, 3);
+  g.add_edge(0, 1, 10);
+  const MappingInstance inst(g, Clustering({0, 1}, 2), make_chain(2));
+  const EvalEngine engine(inst);
+  const std::vector<std::vector<NodeId>> stacked = {{0, 0}};
+  EvalWorkspace ws;
+  const Weight exact = engine.trial_total_time(stacked[0], {}, ws);
+  ASSERT_EQ(exact, 5);
+  EXPECT_EQ(engine.ideal_tail()[0], 13);  // the message (10) plus task 1 (3)
+  std::vector<Weight> totals(1, -1);
+  engine.batch_total_times(stacked, {}, /*num_threads=*/1, /*width=*/8, totals, exact + 1,
+                           engine.ideal_tail());
+  EXPECT_GT(totals[0], exact);  // a false "bound": a winner would be rejected
+  engine.batch_total_times(stacked, {}, /*num_threads=*/1, /*width=*/8, totals, exact + 1);
+  EXPECT_EQ(totals[0], exact);
+  // Wrong-sized potentials are rejected on the calling thread.
+  const std::vector<Weight> short_potential(1, 0);
+  EXPECT_THROW(engine.batch_total_times(stacked, {}, 1, 8, totals, exact, short_potential),
+               std::invalid_argument);
+}
+
 struct Pipeline {
   MappingInstance instance;
   IdealSchedule ideal;
   InitialAssignmentResult initial;
 };
 
-Pipeline build_pipeline(NodeId np, const SystemGraph& sys, std::uint64_t seed) {
+Pipeline build_pipeline(NodeId np, const SystemGraph& sys, std::uint64_t seed,
+                        bool block = false) {
   LayeredDagParams p;
   p.num_tasks = np;
   TaskGraph g = make_layered_dag(p, seed);
-  Clustering c = random_clustering(g, sys.node_count(), seed + 1);
+  Clustering c = block ? block_clustering(g, sys.node_count())
+                       : random_clustering(g, sys.node_count(), seed + 1);
   MappingInstance inst(std::move(g), std::move(c), sys);
   IdealSchedule ideal = compute_ideal_schedule(inst);
   InitialAssignmentResult initial = initial_assignment(inst, find_critical(inst, ideal));
   return Pipeline{std::move(inst), std::move(ideal), std::move(initial)};
 }
 
-TEST(SoaKernelTest, RefineAcceptStreamIsBitIdenticalForEveryWidth) {
-  // The whole refinement — trial order, accept/reject stream, termination,
-  // diagnostics — must not depend on the SoA width or thread count, even
-  // though wider waves early-exit against the incumbent.
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    for (const SystemGraph& sys : test_topologies()) {
-      Pipeline pl = build_pipeline(60, sys, seed);
-      const EvalEngine engine(pl.instance);
-      for (const EvalOptions& mode : all_modes()) {
-        RefineOptions scalar;
-        scalar.seed = seed * 13 + 5;
-        scalar.max_trials = 48;
-        scalar.eval = mode;
-        scalar.eval_width = 1;
-        const RefineResult base = refine(engine, pl.ideal, pl.initial, scalar);
-        for (const int width : {2, 7, 32}) {
-          for (const int threads : {1, 8}) {
-            RefineOptions wide = scalar;
-            wide.eval_width = width;
-            wide.num_threads = threads;
-            const RefineResult r = refine(engine, pl.ideal, pl.initial, wide);
-            const std::string what = "seed=" + std::to_string(seed) + " sys=" + sys.name() +
-                                     mode_name(mode) + " width=" + std::to_string(width) +
-                                     " threads=" + std::to_string(threads);
-            EXPECT_EQ(r.assignment, base.assignment) << what;
-            EXPECT_EQ(r.schedule.total_time, base.schedule.total_time) << what;
-            EXPECT_EQ(r.schedule.start, base.schedule.start) << what;
-            EXPECT_EQ(r.schedule.end, base.schedule.end) << what;
-            EXPECT_EQ(r.trials_used, base.trials_used) << what;
-            EXPECT_EQ(r.improvements, base.improvements) << what;
-            EXPECT_EQ(r.reached_lower_bound, base.reached_lower_bound) << what;
-            EXPECT_EQ(r.terminated_early, base.terminated_early) << what;
-          }
-        }
+/// Refines `pl` at width 1 (the scalar path: exact totals, no cutoff, no
+/// potential) and at every wave width and thread count, expecting
+/// identical results.
+void expect_refine_width_invariant(const Pipeline& pl, std::uint64_t seed,
+                                   std::int64_t max_trials, const std::string& where) {
+  const EvalEngine engine(pl.instance);
+  for (const EvalOptions& mode : all_modes()) {
+    RefineOptions scalar;
+    scalar.seed = seed * 13 + 5;
+    scalar.max_trials = max_trials;
+    scalar.eval = mode;
+    scalar.eval_width = 1;
+    const RefineResult base = refine(engine, pl.ideal, pl.initial, scalar);
+    for (const int width : {2, 7, 32}) {
+      for (const int threads : {1, 8}) {
+        RefineOptions wide = scalar;
+        wide.eval_width = width;
+        wide.num_threads = threads;
+        const RefineResult r = refine(engine, pl.ideal, pl.initial, wide);
+        const std::string what = where + mode_name(mode) + " width=" + std::to_string(width) +
+                                 " threads=" + std::to_string(threads);
+        EXPECT_EQ(r.assignment, base.assignment) << what;
+        EXPECT_EQ(r.schedule.total_time, base.schedule.total_time) << what;
+        EXPECT_EQ(r.schedule.start, base.schedule.start) << what;
+        EXPECT_EQ(r.schedule.end, base.schedule.end) << what;
+        EXPECT_EQ(r.trials_used, base.trials_used) << what;
+        EXPECT_EQ(r.improvements, base.improvements) << what;
+        EXPECT_EQ(r.reached_lower_bound, base.reached_lower_bound) << what;
+        EXPECT_EQ(r.terminated_early, base.terminated_early) << what;
       }
     }
   }
+}
+
+TEST(SoaKernelTest, RefineAcceptStreamIsBitIdenticalForEveryWidth) {
+  // The whole refinement — trial order, accept/reject stream, termination,
+  // diagnostics — must not depend on the SoA width or thread count, even
+  // though wider waves early-exit against the incumbent and its tail.
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    for (const SystemGraph& sys : test_topologies()) {
+      expect_refine_width_invariant(build_pipeline(60, sys, seed), seed, 48,
+                                    "seed=" + std::to_string(seed) + " sys=" + sys.name());
+    }
+  }
+  // The shape where the tail cuts most: block-clustered layered graphs of
+  // about 2k tasks on 64-processor machines.
+  for (const char* spec : {"hypercube-6", "torus-8x8"}) {
+    expect_refine_width_invariant(build_pipeline(2000, make_topology(spec), 41, true), 41, 64,
+                                  std::string("np=2000 block sys=") + spec);
+  }
+}
+
+TEST(SoaKernelTest, RefineCountsLaneWorkAndCutoffExits) {
+  // The registry's SoA counters show how much of each candidate's
+  // schedule a refine walks: on a block-clustered layered instance the
+  // incumbent and the tail retire lanes long before the last task.
+  const Pipeline pl = build_pipeline(2000, make_topology("torus-8x8"), 7, true);
+  const EvalEngine engine(pl.instance);
+  obs::Counter& lane_tasks = obs::registry().counter("mimdmap_eval_soa_lane_tasks_total");
+  obs::Counter& exits = obs::registry().counter("mimdmap_eval_soa_cutoff_exits_total");
+  RefineOptions opts;
+  opts.eval_width = 8;
+  opts.num_threads = 1;
+  opts.max_trials = 64;
+  opts.use_termination_condition = false;  // every trial is evaluated
+  const std::uint64_t tasks_before = lane_tasks.value();
+  const std::uint64_t exits_before = exits.value();
+  const RefineResult r = refine(engine, pl.ideal, pl.initial, opts);
+  ASSERT_EQ(r.trials_used, 64);
+  const std::uint64_t walked = lane_tasks.value() - tasks_before;
+  const std::uint64_t np = idx(pl.instance.num_tasks());
+  EXPECT_GT(walked, 0u);
+  EXPECT_LT(walked, 64 * np);  // under W * np per wave of W = 8
+  EXPECT_GT(exits.value() - exits_before, 0u);
 }
 
 TEST(SoaKernelTest, RandomBaselineMatchesLegacyScalarLoop) {
